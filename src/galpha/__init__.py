@@ -9,8 +9,6 @@ from .params import (
     StabilityReport,
     check_stability_conditions,
     derive,
-    derive_high_order,
-    derive_k1,
     from_alphas,
 )
 from .stepper import (
@@ -22,8 +20,6 @@ from .stepper import (
     init_state,
     integrate,
     step,
-    step_high_order,
-    step_k1,
 )
 from .amplification import (
     AmplificationMatrix,
@@ -44,7 +40,6 @@ from .spectral import (
     SweepConfig,
     char_coeffs_3x3,
     classify_stability,
-    cubic_roots,
     eigvals,
     limit_eigs_sigma_inf,
     limit_eigs_sigma_zero,

@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,16 @@ from .amplification import amplification_matrix, assemble_step_matrices
 from .errors import SingularStepError
 from .params import DissipationSpec, derive
 from .stepper import OscillatorMode, StepConfig, Variant, integrate
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_rho(text: str) -> list[float]:
@@ -78,20 +89,13 @@ def _outfile(args, suffix: str) -> Path:
     return out / f"{args.subcommand}_{_flag_hash(args)}{suffix}"
 
 
-def _scheme(args):
-    spec = DissipationSpec(args.k, tuple(args.rho))
-    return derive(spec)
-
-
-def _cmd_params(args) -> str:
-    p = _scheme(args)
+def _cmd_params(args, p) -> str:
     path = _outfile(args, ".json")
     path.write_text(json.dumps(p.to_json_dict(), indent=2) + "\n")
     return f"subcommand=params k={args.k} file={path}"
 
 
-def _cmd_simulate(args) -> str:
-    p = _scheme(args)
+def _cmd_simulate(args, p) -> str:
     mode = OscillatorMode(lam=args.lam)
     cfg = StepConfig(tau=args.tau, variant=Variant(args.variant))
     traj = integrate(p, mode, cfg, args.u0, args.v0, args.steps)
@@ -105,8 +109,7 @@ def _cmd_simulate(args) -> str:
     )
 
 
-def _cmd_converge(args) -> str:
-    p = _scheme(args)
+def _cmd_converge(args, p) -> str:
     mode = OscillatorMode(lam=args.lam)
     study = convergence.run_convergence(
         p, mode, args.u0, args.v0, args.T, args.steps, variant=Variant(args.variant)
@@ -132,11 +135,8 @@ def _write_matrix_csv(path: Path, M: np.ndarray) -> None:
             w.writerow([repr(float(x)) for x in row])
 
 
-def _cmd_spectrum(args) -> str:
-    p = _scheme(args)
-    samples = spectral.sweep_spectrum(
-        p, args.sigma_min, args.sigma_max, args.points, log_spacing=True
-    )
+def _cmd_spectrum(args, p) -> str:
+    samples = spectral.sweep_spectrum(p, args.sigma_min, args.sigma_max, args.points)
     path = _outfile(args, ".csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -162,7 +162,7 @@ def _cmd_spectrum(args) -> str:
     )
 
 
-def _cmd_stability_map(args) -> str:
+def _cmd_stability_map(args, _) -> str:
     fixed = _parse_fix(args.fix)
     if len(args.vary) != 2:
         raise FlagError("--vary must be given exactly twice")
@@ -190,8 +190,7 @@ def _cmd_stability_map(args) -> str:
     )
 
 
-def _cmd_limits(args) -> str:
-    p = _scheme(args)
+def _cmd_limits(args, p) -> str:
     data = {
         "k": args.k,
         "rho": list(args.rho),
@@ -205,16 +204,6 @@ def _cmd_limits(args) -> str:
 
 class FlagError(ValueError):
     """Flag-level validation failure after argparse (exit code 2)."""
-
-
-def _validate_scheme_flags(args) -> None:
-    if args.k < 1:
-        raise FlagError(f"--k must be >= 1, got {args.k}")
-    if len(args.rho) != args.k:
-        raise FlagError(f"--rho needs exactly {args.k} values, got {len(args.rho)}")
-    for i, r in enumerate(args.rho):
-        if not 0.0 <= r <= 1.0:
-            raise FlagError(f"--rho entry {i + 1} = {r} outside [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="integrate one oscillator to CSV")
     scheme_flags(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--u0", type=float, required=True)
-    sp.add_argument("--v0", type=float, required=True)
-    sp.add_argument("--tau", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    sp.add_argument("--u0", type=_finite, required=True)
+    sp.add_argument("--v0", type=_finite, required=True)
+    sp.add_argument("--tau", type=_finite, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--variant", choices=["full", "printed"], default="full")
     out_flag(sp)
@@ -249,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("converge", help="convergence study to CSV + JSON summary")
     scheme_flags(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--u0", type=float, default=1.0)
-    sp.add_argument("--v0", type=float, default=0.0)
-    sp.add_argument("--T", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    sp.add_argument("--u0", type=_finite, default=1.0)
+    sp.add_argument("--v0", type=_finite, default=0.0)
+    sp.add_argument("--T", type=_finite, required=True)
     sp.add_argument("--steps", type=_parse_steps, required=True,
                     help="comma-separated ascending step counts")
     sp.add_argument("--variant", choices=["full", "printed"], default="full")
@@ -261,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="eigenvalue sweep over sigma to CSV")
     scheme_flags(sp)
-    sp.add_argument("--sigma-min", type=float, required=True)
-    sp.add_argument("--sigma-max", type=float, required=True)
+    sp.add_argument("--sigma-min", type=_finite, required=True)
+    sp.add_argument("--sigma-max", type=_finite, required=True)
     sp.add_argument("--points", type=int, required=True)
-    sp.add_argument("--dump-matrices-sigma", type=float, default=None,
+    sp.add_argument("--dump-matrices-sigma", type=_finite, default=None,
                     help="debug: also dump A, B, G at this sigma as CSV")
     out_flag(sp)
     sp.set_defaults(func=_cmd_spectrum)
@@ -292,17 +281,16 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if hasattr(args, "rho"):
-            _validate_scheme_flags(args)
+        spec = DissipationSpec(args.k, tuple(args.rho)) if hasattr(args, "rho") else None
         if hasattr(args, "tau") and args.tau <= 0.0:
             raise FlagError(f"--tau must be positive, got {args.tau}")
         if hasattr(args, "steps") and isinstance(args.steps, int) and args.steps < 1:
             raise FlagError(f"--steps must be >= 1, got {args.steps}")
-    except FlagError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        summary = args.func(args)
+        summary = args.func(args, None if spec is None else derive(spec))
     except FlagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -104,33 +104,21 @@ def run_convergence(
     T: float,
     steps_list,
     variant: Variant = Variant.FULL_TAYLOR,
-    use_trajectory_max: bool = False,
 ) -> ConvergenceStudy:
-    """Integrate once per step count and fit end-time error orders.
-
-    ``use_trajectory_max`` switches the metric to the maximum error over
-    the whole trajectory instead of the end-time value.
-    """
+    """Integrate once per step count and fit end-time error orders."""
     steps = [int(n) for n in steps_list]
     if len(steps) < 3:
         raise ValueError("need at least 3 step counts")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps_list must be strictly ascending")
+    ue, ve = exact_solution(mode.lam, u0, v0, T)
     rows = []
     for n in steps:
         tau = T / n
         cfg = StepConfig(tau=tau, variant=variant)
         traj = integrate(p, mode, cfg, u0, v0, n)
-        if use_trajectory_max:
-            eu = ev = 0.0
-            for t, s in zip(traj.times, traj.states):
-                ue, ve = exact_solution(mode.lam, u0, v0, t)
-                eu = max(eu, abs(s.d[0] - ue))
-                ev = max(ev, abs(s.d[1] - ve))
-        else:
-            ue, ve = exact_solution(mode.lam, u0, v0, T)
-            eu = abs(traj.states[-1].d[0] - ue)
-            ev = abs(traj.states[-1].d[1] - ve)
+        eu = abs(traj.states[-1].d[0] - ue)
+        ev = abs(traj.states[-1].d[1] - ve)
         rows.append(StudyRow(n_steps=n, tau=tau, error_u=eu, error_v=ev))
 
     def _fit(getter):

@@ -4,26 +4,22 @@ The user-facing knobs are the high-frequency dissipation controls
 rho_inf (one per 3x3 block, each in [0, 1]).  Everything else -- the
 alpha shifts, the gamma accuracy conditions and the beta values that
 make the block spectra real in the stiff limit -- is derived here in
-closed form:
+closed form.  The k = 1 method is the last block alone (alpha_m in
+alpha_k's place), so one set of laws covers every order:
 
-    k = 1:   alpha_f = 1/(1+rho),  alpha_m = (2-rho)/(1+rho),
-             gamma_1 = 1/2 + alpha_m - alpha_f,
-             beta_1  = (1 + alpha_m - alpha_f)^2 / 4.
+    alpha_i = 2/(1+rho_i)                     for i < k,
+    alpha_k = (2-rho_k)/(1+rho_k),   alpha_f = 1/(1+rho_k),
+    gamma_i = alpha_i - 1/2                   for i < k,
+    gamma_k = 1/2 - alpha_f + alpha_k,
+    beta_i  = (1 + 4*gamma_i + 4*gamma_i^2)/16 = ((2*gamma_i + 1)/4)^2.
 
-    k >= 2:  alpha_i = 2/(1+rho_i)            for i < k,
-             alpha_k = (2-rho_k)/(1+rho_k),   alpha_f = 1/(1+rho_k),
-             gamma_i = alpha_i - 1/2          for i < k,
-             gamma_k = 1/2 - alpha_f + alpha_k,
-             beta_i  = (1 + 4*gamma_i + 4*gamma_i^2) / 16.
-
-Note beta_i = ((2*gamma_i + 1)/4)^2 identically, including the k=1 case.
 All objects are immutable value types; the functions are pure.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 
@@ -90,57 +86,13 @@ class StabilityReport:
     violations: tuple[str, ...]
 
 
-def _beta_from_gamma(gamma: float) -> float:
-    # (1 + 4g + 4g^2)/16 == ((2g + 1)/4)^2; zeroes the imaginary part of
-    # the block eigenvalues in the stiff limit.
-    return ((2.0 * gamma + 1.0) / 4.0) ** 2
-
-
-def derive_k1(rho_inf: float) -> SchemeParameters:
-    """Classic second-order parameters from a single dissipation control."""
-    spec = DissipationSpec(1, (rho_inf,))
-    r = spec.rho[0]
-    alpha_f = 1.0 / (1.0 + r)
-    alpha_m = (2.0 - r) / (1.0 + r)
-    gamma1 = 0.5 + alpha_m - alpha_f
-    beta1 = 0.25 * (1.0 + alpha_m - alpha_f) ** 2
-    return SchemeParameters(
-        k=1,
-        alpha=(alpha_m,),
-        alpha_f=alpha_f,
-        beta=(beta1,),
-        gamma=(gamma1,),
-        rho=spec,
-    )
-
-
-def derive_high_order(spec: DissipationSpec) -> SchemeParameters:
-    """Coefficients for k >= 2; alpha_f comes from the last control."""
-    if spec.k < 2:
-        raise ValueError("derive_high_order requires k >= 2; use derive_k1")
-    k = spec.k
-    rho = spec.rho
-    alpha = [2.0 / (1.0 + rho[i]) for i in range(k - 1)]
-    alpha.append((2.0 - rho[-1]) / (1.0 + rho[-1]))
-    alpha_f = 1.0 / (1.0 + rho[-1])
-    gamma = [alpha[i] - 0.5 for i in range(k - 1)]
-    gamma.append(0.5 - alpha_f + alpha[-1])
-    beta = [_beta_from_gamma(g) for g in gamma]
-    return SchemeParameters(
-        k=k,
-        alpha=tuple(alpha),
-        alpha_f=alpha_f,
-        beta=tuple(beta),
-        gamma=tuple(gamma),
-        rho=spec,
-    )
-
-
 def derive(spec: DissipationSpec) -> SchemeParameters:
-    """Dispatch on k; convenience wrapper used by the CLI."""
-    if spec.k == 1:
-        return derive_k1(spec.rho[0])
-    return derive_high_order(spec)
+    """Coefficients for any k; alpha_f comes from the last control."""
+    rho = spec.rho
+    alpha = [2.0 / (1.0 + r) for r in rho[:-1]]
+    alpha.append((2.0 - rho[-1]) / (1.0 + rho[-1]))
+    p = from_alphas(spec.k, alpha, 1.0 / (1.0 + rho[-1]))
+    return replace(p, rho=spec)
 
 
 def check_stability_conditions(p: SchemeParameters) -> StabilityReport:
@@ -165,15 +117,16 @@ def from_alphas(
     k: int, alpha: Sequence[float], alpha_f: float
 ) -> SchemeParameters:
     """Build parameters from raw alpha values, recomputing gamma and beta
-    from the order conditions.  Used by stability-map scans; the result
-    carries no dissipation spec."""
+    from the order conditions.  ``derive`` completes its alphas here;
+    stability-map scans call it directly, and then the result carries no
+    dissipation spec."""
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != k:
         raise ValueError(f"expected {k} alpha values, got {len(alpha)}")
-    gamma = [alpha[i] - 0.5 for i in range(k - 1)]
-    # For k=1 this is the classic 1/2 + alpha_m - alpha_f.
+    gamma = [a - 0.5 for a in alpha[:-1]]
     gamma.append(0.5 - alpha_f + alpha[-1])
-    beta = [_beta_from_gamma(g) for g in gamma]
+    # zeroes the imaginary part of the block eigenvalues in the stiff limit
+    beta = [((2.0 * g + 1.0) / 4.0) ** 2 for g in gamma]
     return SchemeParameters(
         k=k, alpha=alpha, alpha_f=float(alpha_f),
         beta=tuple(beta), gamma=tuple(gamma), rho=None,

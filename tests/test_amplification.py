@@ -8,8 +8,6 @@ from galpha import (
     amplification_matrix,
     assemble_step_matrices,
     derive,
-    derive_high_order,
-    derive_k1,
     diagonal_blocks,
     from_alphas,
     init_state,
@@ -20,7 +18,7 @@ from galpha import (
 from galpha.stepper import OscillatorMode
 
 
-K2 = derive_high_order(DissipationSpec(2, (0.5, 0.5)))
+K2 = derive(DissipationSpec(2, (0.5, 0.5)))
 # alpha = (4/3, 1), alpha_f = 2/3, gamma = (5/6, 5/6), beta = (4/9, 4/9)
 
 
@@ -97,7 +95,7 @@ class TestK2Entries:
         assert B[2].tolist() == pytest.approx(want)
 
     def test_k1_block_matches_classic_pair(self):
-        p = derive_k1(0.5)  # alpha_m = 1, alpha_f = 2/3, gamma = 5/6, beta = 4/9
+        p = derive(DissipationSpec(1, (0.5,)))  # alpha_m = 1, alpha_f = 2/3, gamma = 5/6, beta = 4/9
         sigma = 1.3
         sm = assemble_step_matrices(p, sigma)
         am, af, b1, g1 = 1.0, 2.0 / 3.0, 4.0 / 9.0, 5.0 / 6.0
@@ -126,7 +124,7 @@ class TestAmplification:
         assert (G @ w).tolist() == pytest.approx([5.0, 3.0, 0, 0, 0, 0], abs=1e-14)
 
     def test_variants_agree_for_k1_and_differ_for_k3(self):
-        p1 = derive_k1(0.5)
+        p1 = derive(DissipationSpec(1, (0.5,)))
         G_full = amplification_matrix(p1, 1.0, Variant.FULL_TAYLOR).G
         G_printed = amplification_matrix(p1, 1.0, Variant.AS_PRINTED).G
         assert np.array_equal(G_full, G_printed)

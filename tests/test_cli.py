@@ -177,6 +177,27 @@ class TestFlagValidation:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "nan"), ("--u0", "nan"), ("--tau", "inf"),
+    ])
+    def test_nonfinite_simulate_flag_exits_2(self, tmp_path, capsys, flag, value):
+        flags = {"--lambda": "1", "--u0": "1", "--v0": "0", "--tau": "0.1", flag: value}
+        argv = [x for item in flags.items() for x in item]
+        code, out, _ = run_cli(
+            capsys, "simulate", "--k", "1", "--rho", "0.5", *argv,
+            "--steps", "4", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_nonfinite_sigma_max_exits_2(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--k", "1", "--rho", "0.5", "--sigma-min", "1e-3",
+            "--sigma-max", "inf", "--points", "5", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+
 
 def test_parser_builds():
     parser = build_parser()

@@ -9,8 +9,6 @@ from galpha import (
     OscillatorMode,
     Variant,
     derive,
-    derive_high_order,
-    derive_k1,
     exact_solution,
     fit_order,
     run_convergence,
@@ -55,20 +53,20 @@ class TestFitOrder:
 
 class TestRunConvergence:
     def test_input_validation(self):
-        p = derive_k1(0.5)
+        p = derive(DissipationSpec(1, (0.5,)))
         with pytest.raises(ValueError):
             run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [16, 32])
         with pytest.raises(ValueError):
             run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [32, 16, 64])
 
     def test_k1_velocity_order_two(self):
-        p = derive_k1(0.5)
+        p = derive(DissipationSpec(1, (0.5,)))
         study = run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [16, 32, 64, 128])
         assert study.fitted_order_v == pytest.approx(2.0, abs=0.15)
         assert study.discarded == 0
 
     def test_k2_velocity_order_four(self):
-        p = derive_high_order(DissipationSpec(2, (0.5, 0.5)))
+        p = derive(DissipationSpec(2, (0.5, 0.5)))
         study = run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [8, 16, 32, 64])
         assert study.fitted_order_v == pytest.approx(4.0, abs=0.2)
 
@@ -80,18 +78,8 @@ class TestRunConvergence:
         assert study.discarded >= 1
         assert math.isfinite(study.fitted_order_u)
 
-    def test_trajectory_max_metric_is_larger(self):
-        p = derive_k1(0.5)
-        end = run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [16, 32, 64])
-        full = run_convergence(
-            p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [16, 32, 64], use_trajectory_max=True
-        )
-        for r_end, r_full in zip(end.rows, full.rows):
-            assert r_full.error_u >= r_end.error_u
-            assert r_full.error_v >= r_end.error_v
-
     def test_csv_and_summary(self):
-        p = derive_high_order(DissipationSpec(2, (0.5, 0.5)))
+        p = derive(DissipationSpec(2, (0.5, 0.5)))
         study = run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [8, 16, 32])
         buf = io.StringIO()
         study.write_csv(buf)
@@ -121,7 +109,7 @@ class TestVerifyRecurrence:
         assert res <= 1e-9
 
     def test_input_validation(self):
-        p = derive_k1(0.5)
+        p = derive(DissipationSpec(1, (0.5,)))
         with pytest.raises(ValueError):
             verify_recurrence(p, 1.0, 0, n_terms=3)
         with pytest.raises(ValueError):

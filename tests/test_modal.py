@@ -10,7 +10,7 @@ from galpha import (
     JacobiConvergenceError,
     StepConfig,
     SymmetricSystem,
-    derive_high_order,
+    derive,
     integrate_system,
     jacobi_eig,
     load_system,
@@ -94,7 +94,7 @@ def exact_2dof(t: float, u0) -> np.ndarray:
 
 class TestIntegrateSystem:
     def test_matches_analytic_two_mode_solution(self):
-        p = derive_high_order(DissipationSpec(2, (0.5, 0.5)))
+        p = derive(DissipationSpec(2, (0.5, 0.5)))
         sys_ = SymmetricSystem(K=K_2DOF, u0=[1.0, 0.0], v0=[0.0, 0.0])
         T, n = 2.0, 64
         traj = integrate_system(sys_, p, StepConfig(tau=T / n), n)
@@ -103,7 +103,7 @@ class TestIntegrateSystem:
         )
 
     def test_fourth_order_tau_halving(self):
-        p = derive_high_order(DissipationSpec(2, (0.5, 0.5)))
+        p = derive(DissipationSpec(2, (0.5, 0.5)))
         sys_ = SymmetricSystem(K=K_2DOF, u0=[1.0, 0.0], v0=[0.0, 0.0])
         T = 2.0
         errs = []
@@ -114,13 +114,13 @@ class TestIntegrateSystem:
             assert 12.0 <= coarse / fine <= 20.0
 
     def test_energy_bounded_without_dissipation(self):
-        p = derive_high_order(DissipationSpec(2, (1.0, 1.0)))
+        p = derive(DissipationSpec(2, (1.0, 1.0)))
         sys_ = SymmetricSystem(K=K_2DOF, u0=[1.0, 0.0], v0=[0.0, 0.0])
         traj = integrate_system(sys_, p, StepConfig(tau=0.02), 500)
         assert np.max(np.abs(traj.displacements)) <= 1.0 + 1e-6
 
     def test_csv_export(self):
-        p = derive_high_order(DissipationSpec(2, (0.5, 0.5)))
+        p = derive(DissipationSpec(2, (0.5, 0.5)))
         sys_ = SymmetricSystem(K=K_2DOF, u0=[1.0, 0.0], v0=[0.0, 0.0])
         traj = integrate_system(sys_, p, StepConfig(tau=0.5), 2)
         buf = io.StringIO()

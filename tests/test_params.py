@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from galpha import (
     DissipationSpec,
     check_stability_conditions,
-    derive_high_order,
-    derive_k1,
+    derive,
     from_alphas,
 )
 
@@ -15,7 +14,7 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 def test_derive_k1_no_dissipation():
-    p = derive_k1(1.0)
+    p = derive(DissipationSpec(1, (1.0,)))
     assert p.alpha_f == 0.5
     assert p.alpha[0] == 0.5  # alpha_m
     assert p.gamma[0] == 0.5
@@ -23,7 +22,7 @@ def test_derive_k1_no_dissipation():
 
 
 def test_derive_k1_max_dissipation():
-    p = derive_k1(0.0)
+    p = derive(DissipationSpec(1, (0.0,)))
     assert p.alpha_f == 1.0
     assert p.alpha[0] == 2.0
     assert p.gamma[0] == 1.5
@@ -31,7 +30,7 @@ def test_derive_k1_max_dissipation():
 
 
 def test_derive_k1_half():
-    p = derive_k1(0.5)
+    p = derive(DissipationSpec(1, (0.5,)))
     assert p.alpha_f == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert p.alpha[0] == pytest.approx(1.0, rel=1e-15)
     assert p.gamma[0] == pytest.approx(5.0 / 6.0, rel=1e-15)
@@ -40,9 +39,9 @@ def test_derive_k1_half():
 
 def test_derive_k1_rejects_out_of_range():
     with pytest.raises(ValueError):
-        derive_k1(-0.01)
+        derive(DissipationSpec(1, (-0.01,)))
     with pytest.raises(ValueError):
-        derive_k1(1.01)
+        derive(DissipationSpec(1, (1.01,)))
 
 
 @pytest.mark.parametrize(
@@ -53,7 +52,7 @@ def test_derive_k1_rejects_out_of_range():
     ],
 )
 def test_derive_k2_endpoints(rho, alpha, alpha_f, gamma, beta):
-    p = derive_high_order(DissipationSpec(2, rho))
+    p = derive(DissipationSpec(2, rho))
     assert p.alpha == pytest.approx(alpha, rel=1e-15)
     assert p.alpha_f == pytest.approx(alpha_f, rel=1e-15)
     assert p.gamma == pytest.approx(gamma, rel=1e-15)
@@ -61,16 +60,11 @@ def test_derive_k2_endpoints(rho, alpha, alpha_f, gamma, beta):
 
 
 def test_derive_k3_half():
-    p = derive_high_order(DissipationSpec(3, (0.5, 0.5, 0.5)))
+    p = derive(DissipationSpec(3, (0.5, 0.5, 0.5)))
     assert p.alpha == pytest.approx((4 / 3, 4 / 3, 1.0), rel=1e-15)
     assert p.alpha_f == pytest.approx(2 / 3, rel=1e-15)
     assert p.gamma == pytest.approx((5 / 6, 5 / 6, 5 / 6), rel=1e-15)
     assert p.beta == pytest.approx((4 / 9, 4 / 9, 4 / 9), rel=1e-15)
-
-
-def test_derive_high_order_rejects_k1():
-    with pytest.raises(ValueError):
-        derive_high_order(DissipationSpec(1, (0.5,)))
 
 
 def test_spec_validation():
@@ -85,7 +79,7 @@ def test_spec_validation():
 @given(st.integers(min_value=2, max_value=5), st.data())
 def test_algebraic_invariants_hold(k, data):
     rho = tuple(data.draw(unit) for _ in range(k))
-    p = derive_high_order(DissipationSpec(k, rho))
+    p = derive(DissipationSpec(k, rho))
     for i in range(k - 1):
         assert p.gamma[i] == pytest.approx(p.alpha[i] - 0.5, rel=1e-15, abs=1e-15)
     assert p.gamma[-1] == pytest.approx(
@@ -97,7 +91,7 @@ def test_algebraic_invariants_hold(k, data):
 
 @given(unit)
 def test_k1_invariants_hold(rho):
-    p = derive_k1(rho)
+    p = derive(DissipationSpec(1, (rho,)))
     am, af = p.alpha[0], p.alpha_f
     assert p.gamma[0] == pytest.approx(0.5 + am - af, rel=1e-15)
     assert p.beta[0] == pytest.approx(0.25 * (1 + am - af) ** 2, rel=1e-15)
@@ -106,7 +100,7 @@ def test_k1_invariants_hold(rho):
 @given(st.integers(min_value=1, max_value=5), st.data())
 def test_rho_parametrization_maps_into_stable_region(k, data):
     rho = tuple(data.draw(unit) for _ in range(k))
-    p = derive_k1(rho[0]) if k == 1 else derive_high_order(DissipationSpec(k, rho))
+    p = derive(DissipationSpec(k, rho))
     report = check_stability_conditions(p)
     assert report.passed, report.violations
 
@@ -131,7 +125,7 @@ def test_stability_conditions_alpha_f_violation():
 
 
 def test_json_serialization_round_trip():
-    p = derive_high_order(DissipationSpec(2, (0.5, 0.5)))
+    p = derive(DissipationSpec(2, (0.5, 0.5)))
     data = json.loads(p.to_json())
     assert set(data) == {"k", "rho", "alpha", "alpha_f", "beta", "gamma"}
     assert data["k"] == 2

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from galpha import (
-    CubicCoefficients,
     DissipationSpec,
     ParameterAxis,
     SweepConfig,
@@ -10,10 +9,7 @@ from galpha import (
     amplification_matrix,
     char_coeffs_3x3,
     classify_stability,
-    cubic_roots,
     derive,
-    derive_high_order,
-    derive_k1,
     diagonal_blocks,
     eigvals,
     from_alphas,
@@ -40,63 +36,6 @@ class TestCharCoeffs:
         assert (c.G1, c.G2, c.G3) == (3.0, 3.0, 1.0)
 
 
-class TestCubicRoots:
-    def test_distinct_real_roots(self):
-        # (x-1)(x-2)(x-3)
-        roots = cubic_roots(CubicCoefficients(6.0, 11.0, 6.0))
-        assert sorted(r.real for r in roots) == pytest.approx([1.0, 2.0, 3.0])
-        assert all(r.imag == 0.0 for r in roots)
-
-    def test_conjugate_pair(self):
-        # x^3 - 1: roots 1 and exp(+-2i*pi/3)
-        roots = cubic_roots(CubicCoefficients(0.0, 0.0, 1.0))
-        roots = sorted(roots, key=lambda z: -z.real)
-        assert roots[0] == pytest.approx(1.0)
-        assert roots[1] == pytest.approx(complex(-0.5, np.sqrt(3) / 2))
-        assert roots[2] == pytest.approx(complex(-0.5, -np.sqrt(3) / 2))
-        assert roots[1].imag == -roots[2].imag  # exact pairing
-
-    def test_triple_root(self):
-        roots = cubic_roots(CubicCoefficients(6.0, 12.0, 8.0))
-        assert all(r == pytest.approx(2.0) for r in roots)
-
-    def test_recovers_well_separated_roots(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            if rng.random() < 0.5:
-                roots = np.sort(rng.uniform(-2.0, 2.0, 3))
-                if np.min(np.diff(roots)) < 0.05:
-                    continue
-                want = [complex(r) for r in roots]
-            else:
-                re, im = rng.uniform(-2, 2), rng.uniform(0.05, 2.0)
-                want = [complex(rng.uniform(-2, 2)), complex(re, im), complex(re, -im)]
-            g1 = sum(want)
-            g2 = want[0] * want[1] + want[0] * want[2] + want[1] * want[2]
-            g3 = want[0] * want[1] * want[2]
-            got = cubic_roots(CubicCoefficients(g1.real, g2.real, g3.real))
-            key = lambda z: (z.real, z.imag)
-            for w, g in zip(sorted(want, key=key), sorted(got, key=key)):
-                assert g == pytest.approx(w, abs=1e-8)
-
-    def test_vieta_residuals_on_scheme_blocks(self):
-        # moderate sigma keeps blocks away from the stiff-limit root
-        # collapse, where realification deliberately trades Vieta residual
-        # for a real spectrum
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            k = int(rng.integers(1, 4))
-            p = derive(DissipationSpec(k, tuple(rng.uniform(0, 1, k))))
-            sigma = 10.0 ** rng.uniform(-6, 2)
-            for blk in diagonal_blocks(amplification_matrix(p, sigma)):
-                c = char_coeffs_3x3(blk)
-                r1, r2, r3 = cubic_roots(c)
-                scale = max(1.0, abs(c.G1), abs(c.G2), abs(c.G3))
-                assert abs(r1 + r2 + r3 - c.G1) <= 1e-10 * scale
-                assert abs(r1 * r2 + r1 * r3 + r2 * r3 - c.G2) <= 1e-8 * scale
-                assert abs(r1 * r2 * r3 - c.G3) <= 1e-8 * scale
-
-
 class TestEigvals:
     def test_matches_dense_eigensolver_at_moderate_sigma(self):
         rng = np.random.default_rng(13)
@@ -111,7 +50,7 @@ class TestEigvals:
             )
 
     def test_blocks_grouping_and_sort(self):
-        p = derive_high_order(DissipationSpec(2, (0.5, 0.5)))
+        p = derive(DissipationSpec(2, (0.5, 0.5)))
         es = eigvals(p, 1.0)
         blocks = es.blocks()
         assert len(blocks) == 2 and all(len(b) == 3 for b in blocks)
@@ -122,14 +61,14 @@ class TestEigvals:
 
 class TestLimits:
     def test_sigma_zero_closed_form(self):
-        p = derive_high_order(DissipationSpec(2, (0.5, 0.5)))
+        p = derive(DissipationSpec(2, (0.5, 0.5)))
         # alpha = (4/3, 1) -> (alpha-1)/alpha = (1/4, 0)
         assert limit_eigs_sigma_zero(p) == pytest.approx([1, 1, 0.25, 1, 1, 0.0])
 
     def test_sigma_zero_matches_spectrum(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            p = derive_high_order(DissipationSpec(2, tuple(rng.uniform(0, 1, 2))))
+            p = derive(DissipationSpec(2, tuple(rng.uniform(0, 1, 2))))
             got = np.sort(np.abs(eigvals(p, 1e-12).values))
             want = np.sort(np.abs(limit_eigs_sigma_zero(p)))
             assert got == pytest.approx(want, abs=1e-6)
@@ -140,11 +79,11 @@ class TestLimits:
             limit_eigs_sigma_zero(p)
 
     def test_sigma_inf_closed_form(self):
-        p = derive_high_order(DissipationSpec(2, (0.1, 0.4)))
+        p = derive(DissipationSpec(2, (0.1, 0.4)))
         assert limit_eigs_sigma_inf(p) == [0.1, 0.1, 0.0, 0.4, 0.4, 0.4]
 
     def test_sigma_inf_matches_spectrum(self):
-        p = derive_high_order(DissipationSpec(2, (0.1, 0.4)))
+        p = derive(DissipationSpec(2, (0.1, 0.4)))
         es = eigvals(p, 1e10)
         got = np.sort(np.abs(es.values))
         want = np.sort(np.abs(limit_eigs_sigma_inf(p)))
@@ -157,14 +96,14 @@ class TestLimits:
             limit_eigs_sigma_inf(p)
 
     def test_k1_radius_approaches_rho(self):
-        p = derive_k1(0.3)
+        p = derive(DissipationSpec(1, (0.3,)))
         assert spectral_radius(p, 1e8) == pytest.approx(0.3, abs=1e-4)
 
 
 class TestSweep:
     def test_grid_endpoints_and_length(self):
         samples = sweep_spectrum(
-            derive_k1(0.5), sigma_min=1e-4, sigma_max=1e2, n_points=7
+            derive(DissipationSpec(1, (0.5,))), sigma_min=1e-4, sigma_max=1e2, n_points=7
         )
         assert len(samples) == 7
         assert samples[0].sigma == pytest.approx(1e-4)
@@ -177,7 +116,7 @@ class TestSweep:
             SweepConfig(n_points=1).grid()
 
     def test_radius_field_consistent(self):
-        for s in sweep_spectrum(derive_k1(0.2), 1e-3, 1e3, 5):
+        for s in sweep_spectrum(derive(DissipationSpec(1, (0.2,))), 1e-3, 1e3, 5):
             assert s.radius == max(abs(z) for z in s.eigs.values)
 
 

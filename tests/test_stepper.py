@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -9,16 +10,12 @@ from galpha import (
     StepConfig,
     Variant,
     derive,
-    derive_high_order,
-    derive_k1,
     from_alphas,
     init_state,
     integrate,
     oracle_step,
     scale_state,
     step,
-    step_high_order,
-    step_k1,
     unscale_state,
 )
 
@@ -54,17 +51,17 @@ class TestInitState:
 
 class TestStepK1:
     def test_zero_lambda_linear_advance(self):
-        p = derive_k1(0.5)
+        p = derive(rho_spec(0.5))
         s = init_state(OscillatorMode(0.0), 2.0, 3.0, 1)
-        s1 = step_k1(p, OscillatorMode(0.0), StepConfig(tau=0.5), s)
+        s1 = step(p, OscillatorMode(0.0), StepConfig(tau=0.5), s)
         assert s1.d == (3.5, 3.0, 0.0)
         assert s1.t == 0.5
 
     def test_matches_amplification_oracle(self):
-        p = derive_k1(0.5)
+        p = derive(rho_spec(0.5))
         lam, tau = 1.0, 0.1
         s = init_state(OscillatorMode(lam), 1.0, 0.0, 1)
-        s1 = step_k1(p, OscillatorMode(lam), StepConfig(tau=tau), s)
+        s1 = step(p, OscillatorMode(lam), StepConfig(tau=tau), s)
         w1 = oracle_step(p, lam * tau * tau, scale_state(s, tau))
         expected = unscale_state(w1, tau, 1, t=tau)
         assert s1.d == pytest.approx(expected.d, rel=1e-12)
@@ -72,7 +69,7 @@ class TestStepK1:
     def test_second_order_tau_halving(self):
         # full period of cos(2*pi*t); velocity error ratio ~ 4 per halving
         lam = 4 * np.pi**2
-        p = derive_k1(1.0)
+        p = derive(rho_spec(1.0))
         errs = []
         for n in (64, 128, 256):
             traj = integrate(p, OscillatorMode(lam), StepConfig(tau=1.0 / n), 1.0, 0.0, n)
@@ -80,25 +77,19 @@ class TestStepK1:
         for e_coarse, e_fine in zip(errs, errs[1:]):
             assert 2.5 < e_coarse / e_fine < 6.0
 
-    def test_rejects_wrong_k(self):
-        p = derive_high_order(rho_spec(0.5, 0.5))
-        s = init_state(OscillatorMode(1.0), 1.0, 0.0, 2)
-        with pytest.raises(ValueError):
-            step_k1(p, OscillatorMode(1.0), StepConfig(tau=0.1), s)
-
 
 class TestStepHighOrder:
     def test_zero_lambda_exact_polynomial(self):
-        p = derive_high_order(rho_spec(0.3, 0.8))
+        p = derive(rho_spec(0.3, 0.8))
         s = init_state(OscillatorMode(0.0), 2.0, 3.0, 2)
-        s1 = step_high_order(p, OscillatorMode(0.0), StepConfig(tau=0.5), s)
+        s1 = step(p, OscillatorMode(0.0), StepConfig(tau=0.5), s)
         assert s1.d == (3.5, 3.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_matches_amplification_oracle_k2(self):
-        p = derive_high_order(rho_spec(0.5, 0.5))
+        p = derive(rho_spec(0.5, 0.5))
         lam, tau = 1.0, 0.1
         s = init_state(OscillatorMode(lam), 1.0, 0.0, 2)
-        s1 = step_high_order(p, OscillatorMode(lam), StepConfig(tau=tau), s)
+        s1 = step(p, OscillatorMode(lam), StepConfig(tau=tau), s)
         w1 = oracle_step(p, lam * tau * tau, scale_state(s, tau))
         expected = unscale_state(w1, tau, 2, t=tau)
         assert s1.d == pytest.approx(expected.d, rel=1e-11)
@@ -107,7 +98,7 @@ class TestStepHighOrder:
     def test_oracle_equivalence_random_draws(self, variant):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            k = int(rng.integers(1, 4))
+            k = int(rng.integers(1, 5))
             rho = tuple(rng.uniform(0.0, 1.0, k))
             p = derive(DissipationSpec(k, rho))
             sigma = 10.0 ** rng.uniform(-6, 4)
@@ -125,7 +116,7 @@ class TestStepHighOrder:
 
     def test_fourth_order_convergence(self):
         lam = 4 * np.pi**2
-        p = derive_high_order(rho_spec(0.5, 0.5))
+        p = derive(rho_spec(0.5, 0.5))
         errs = []
         for n in (8, 16, 32, 64):
             traj = integrate(p, OscillatorMode(lam), StepConfig(tau=1.0 / n), 1.0, 0.0, n)
@@ -135,25 +126,28 @@ class TestStepHighOrder:
 
     def test_unstable_parameters_warn(self):
         p = from_alphas(2, (0.9, 1.0), 0.6)
-        s = init_state(OscillatorMode(1.0), 1.0, 0.0, 2)
-        with pytest.warns(UserWarning, match="alpha_1"):
-            step_high_order(p, OscillatorMode(1.0), StepConfig(tau=0.1), s)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            integrate(p, OscillatorMode(1.0), StepConfig(tau=0.1), 1.0, 0.0, 50)
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, UserWarning)
+        assert "alpha_1" in str(caught[0].message)
 
     def test_rejects_mismatched_k(self):
-        p = derive_high_order(rho_spec(0.5, 0.5))
+        p = derive(rho_spec(0.5, 0.5))
         s = init_state(OscillatorMode(1.0), 1.0, 0.0, 3)
         with pytest.raises(ValueError):
-            step_high_order(p, OscillatorMode(1.0), StepConfig(tau=0.1), s)
+            step(p, OscillatorMode(1.0), StepConfig(tau=0.1), s)
 
 
 class TestIntegrate:
     def test_zero_lambda_ramp(self):
-        p = derive_k1(0.5)
+        p = derive(rho_spec(0.5))
         traj = integrate(p, OscillatorMode(0.0), StepConfig(tau=1.0), 1.0, 1.0, 3)
         assert [s.d[0] for s in traj.states] == [1.0, 2.0, 3.0, 4.0]
 
     def test_no_amplitude_growth_at_rho_one(self):
-        p = derive_high_order(rho_spec(1.0, 1.0))
+        p = derive(rho_spec(1.0, 1.0))
         traj = integrate(
             p, OscillatorMode(4 * np.pi**2), StepConfig(tau=0.01), 1.0, 0.0, 100
         )
@@ -161,7 +155,7 @@ class TestIntegrate:
         assert max(abs(s.d[0]) for s in traj.states) <= 1.0 + 1e-5
 
     def test_times_strictly_increasing(self):
-        p = derive_k1(0.2)
+        p = derive(rho_spec(0.2))
         traj = integrate(p, OscillatorMode(3.0), StepConfig(tau=0.05), 1.0, 2.0, 17)
         assert len(traj.times) == 18
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
@@ -175,14 +169,14 @@ class TestIntegrate:
                     assert abs(s.d[0] - (1.5 - 2.0 * t)) <= 1e-13
 
     def test_determinism(self):
-        p = derive_high_order(rho_spec(0.3, 0.7))
+        p = derive(rho_spec(0.3, 0.7))
         args = (p, OscillatorMode(2.5), StepConfig(tau=0.03), 1.0, -0.5, 50)
         t1 = integrate(*args)
         t2 = integrate(*args)
         assert t1 == t2
 
     def test_negative_lambda_policy(self):
-        p = derive_k1(0.5)
+        p = derive(rho_spec(0.5))
         with pytest.raises(ValueError):
             integrate(p, OscillatorMode(-1.0), StepConfig(tau=0.1), 1.0, 0.0, 2)
         cfg = StepConfig(tau=0.1, allow_negative_lambda=True)
@@ -190,7 +184,7 @@ class TestIntegrate:
         assert traj.states[-1].d[0] > 1.0  # growing mode
 
     def test_rejects_bad_inputs(self):
-        p = derive_k1(0.5)
+        p = derive(rho_spec(0.5))
         with pytest.raises(ValueError):
             integrate(p, OscillatorMode(1.0), StepConfig(tau=0.1), 1.0, 0.0, 0)
         with pytest.raises(ValueError):
@@ -198,7 +192,7 @@ class TestIntegrate:
 
 
 def test_trajectory_csv_export():
-    p = derive_k1(0.5)
+    p = derive(rho_spec(0.5))
     traj = integrate(p, OscillatorMode(0.0), StepConfig(tau=1.0), 1.0, 1.0, 2)
     buf = io.StringIO()
     traj.write_csv(buf)
