@@ -33,9 +33,8 @@ from .amplification import (
 )
 from .spectral import (
     CubicCoefficients,
-    EigenSet,
     ParameterAxis,
-    SpectrumSample,
+    Spectrum,
     StabilityMap,
     SweepConfig,
     char_coeffs_3x3,

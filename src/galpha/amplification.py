@@ -177,6 +177,35 @@ def unscale_state(v, tau: float, k: int, t: float = 0.0) -> ModalState:
     return ModalState(k=k, t=t, d=tuple(v[j] / tau**j for j in range(3 * k)))
 
 
-def diagonal_blocks(G: AmplificationMatrix) -> list[np.ndarray]:
-    """The k diagonal 3x3 blocks, whose spectra union to the spectrum of G."""
-    return [G.G[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] for j in range(G.k)]
+def diagonal_blocks(
+    p: SchemeParameters, sigma, variant: Variant = Variant.FULL_TAYLOR
+) -> np.ndarray:
+    """The k diagonal 3x3 blocks A_jj^-1 B_jj of G at every sigma, shape
+    sigma.shape + (k, 3, 3); their spectra union to the spectrum of G.
+
+    A is block diagonal, so these need only A's and B's diagonal blocks.
+    Both are affine in sigma: A(s) = A(0) + s*(A(1) - A(0)) is the
+    assembly bit for bit, as every sigma entry is 0 at sigma = 0.  A
+    singular block raises amplification_matrix's error, with ``sigma``
+    set to the first singular sigma in C order.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if np.any(sigma < 0.0):
+        raise ValueError(f"sigma must be >= 0, got {sigma.min()}")
+    j = np.arange(p.k)
+    sm0, sm1 = (assemble_step_matrices(p, s, variant) for s in (0.0, 1.0))
+    A0, B0, A1, B1 = (M.reshape(p.k, 3, p.k, 3)[j, :, j, :] for M in (sm0.A, sm0.B, sm1.A, sm1.B))
+    s = sigma[..., None, None, None]
+    A = A0 + s * (A1 - A0)
+    try:
+        return np.linalg.solve(A, B0 + s * (B1 - B0))
+    except np.linalg.LinAlgError:
+        # slogdet runs the solve's LU: its sign is 0 exactly where that failed.
+        singular = (np.linalg.slogdet(A)[0] == 0.0).any(axis=-1).ravel()
+        first = float(sigma.ravel()[singular.argmax()])
+        try:
+            _check_divisors(p, first)
+            raise SingularStepError(f"step matrix A is singular at sigma = {first}")
+        except SingularStepError as exc:
+            exc.sigma = first
+            raise

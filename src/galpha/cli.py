@@ -23,7 +23,6 @@ import numpy as np
 
 from . import convergence, spectral
 from .amplification import amplification_matrix, assemble_step_matrices
-from .errors import SingularStepError
 from .params import DissipationSpec, derive
 from .stepper import OscillatorMode, StepConfig, Variant, integrate
 
@@ -53,13 +52,11 @@ def _parse_steps(text: str) -> list[int]:
 
 
 def _parse_vary(text: str) -> spectral.ParameterAxis:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"--vary expects NAME:lo:hi:n, got {text!r}")
     try:
-        return spectral.ParameterAxis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
+        name, lo, hi, n = text.split(":")
+        return spectral.ParameterAxis(name, float(lo), float(hi), int(n))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"--vary expects NAME:lo:hi:n, got {text!r}")
+        raise argparse.ArgumentTypeError(f"--vary expects NAME:lo:hi:n with n >= 2, got {text!r}")
 
 
 def _parse_fix(items) -> dict:
@@ -69,12 +66,12 @@ def _parse_fix(items) -> dict:
             if not piece:
                 continue
             if "=" not in piece:
-                raise argparse.ArgumentTypeError(f"--fix expects NAME=VALUE, got {piece!r}")
+                raise ValueError(f"--fix expects NAME=VALUE, got {piece!r}")
             name, val = piece.split("=", 1)
             try:
                 fixed[name] = float(val)
             except ValueError:
-                raise argparse.ArgumentTypeError(f"--fix value for {name!r} is not a number")
+                raise ValueError(f"--fix value for {name!r} is not a number")
     return fixed
 
 
@@ -136,17 +133,15 @@ def _write_matrix_csv(path: Path, M: np.ndarray) -> None:
 
 
 def _cmd_spectrum(args, p) -> str:
-    samples = spectral.sweep_spectrum(p, args.sigma_min, args.sigma_max, args.points)
+    spec = spectral.sweep_spectrum(p, args.sigma_min, args.sigma_max, args.points)
     path = _outfile(args, ".csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sigma", "block", "idx", "re", "im", "abs"])
-        for s in samples:
-            for block, triple in enumerate(s.eigs.blocks()):
-                for idx, z in enumerate(triple):
-                    w.writerow(
-                        [repr(s.sigma), block, idx, repr(z.real), repr(z.imag), repr(abs(z))]
-                    )
+        mags = np.abs(spec.eigs)
+        for (i, block, idx), z in np.ndenumerate(spec.eigs):
+            w.writerow([repr(float(spec.sigma[i])), block, idx, repr(float(z.real)),
+                        repr(float(z.imag)), repr(float(mags[i, block, idx]))])
     extra = ""
     if args.dump_matrices_sigma is not None:
         sm = assemble_step_matrices(p, args.dump_matrices_sigma)
@@ -155,7 +150,7 @@ def _cmd_spectrum(args, p) -> str:
             mpath = _outfile(args, f"_{name}.csv")
             _write_matrix_csv(mpath, M)
         extra = f" matrices={_outfile(args, '_A.csv').parent}"
-    max_r = max(s.radius for s in samples)
+    max_r = float(spec.radius.max())
     return (
         f"subcommand=spectrum k={args.k} points={args.points} "
         f"max_radius={max_r!r} file={path}{extra}"
@@ -164,8 +159,6 @@ def _cmd_spectrum(args, p) -> str:
 
 def _cmd_stability_map(args, _) -> str:
     fixed = _parse_fix(args.fix)
-    if len(args.vary) != 2:
-        raise FlagError("--vary must be given exactly twice")
     sweep = spectral.SweepConfig(n_points=args.sigma_points)
     smap = spectral.stability_map(args.k, fixed, args.vary[0], args.vary[1], sweep)
     path = _outfile(args, ".csv")
@@ -200,10 +193,6 @@ def _cmd_limits(args, p) -> str:
     path = _outfile(args, ".json")
     path.write_text(json.dumps(data, indent=2) + "\n")
     return f"subcommand=limits k={args.k} file={path}"
-
-
-class FlagError(ValueError):
-    """Flag-level validation failure after argparse (exit code 2)."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,19 +271,25 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         spec = DissipationSpec(args.k, tuple(args.rho)) if hasattr(args, "rho") else None
-        if hasattr(args, "tau") and args.tau <= 0.0:
-            raise FlagError(f"--tau must be positive, got {args.tau}")
-        if hasattr(args, "steps") and isinstance(args.steps, int) and args.steps < 1:
-            raise FlagError(f"--steps must be >= 1, got {args.steps}")
+        if args.subcommand == "simulate":
+            StepConfig(tau=args.tau)
+            if args.steps < 1:
+                raise ValueError(f"--steps must be >= 1, got {args.steps}")
+        elif args.subcommand == "converge":
+            convergence.refinement(args.T, args.steps)
+        elif args.subcommand == "spectrum":
+            spectral.SweepConfig(args.sigma_min, args.sigma_max, args.points).grid()
+        elif args.subcommand == "stability-map":
+            spectral.SweepConfig(n_points=args.sigma_points).grid()
+            _parse_fix(args.fix)
+            if len(args.vary) != 2:
+                raise ValueError("--vary must be given exactly twice")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         summary = args.func(args, None if spec is None else derive(spec))
-    except FlagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularStepError, ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(summary)

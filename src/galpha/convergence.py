@@ -15,8 +15,9 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from .amplification import amplification_matrix, diagonal_blocks
+from .amplification import diagonal_blocks
 from .params import SchemeParameters
+from .spectral import char_coeffs_3x3
 from .stepper import OscillatorMode, StepConfig, Variant, integrate
 
 ROUNDOFF_FLOOR = 1e-12
@@ -96,6 +97,17 @@ def fit_order(taus, errors) -> float:
     return float(np.polyfit(np.log(taus), np.log(errors), 1)[0])
 
 
+def refinement(T: float, steps_list) -> list[tuple[int, float]]:
+    """(n, tau = T/n) per step count: at least 3 counts, strictly
+    ascending from 1, over a positive end time T."""
+    steps = [int(n) for n in steps_list]
+    if len(steps) < 3 or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"need >= 3 strictly ascending step counts from 1, got {steps}")
+    if not T > 0.0:
+        raise ValueError(f"T must be positive, got {T}")
+    return [(n, T / n) for n in steps]
+
+
 def run_convergence(
     p: SchemeParameters,
     mode: OscillatorMode,
@@ -106,15 +118,10 @@ def run_convergence(
     variant: Variant = Variant.FULL_TAYLOR,
 ) -> ConvergenceStudy:
     """Integrate once per step count and fit end-time error orders."""
-    steps = [int(n) for n in steps_list]
-    if len(steps) < 3:
-        raise ValueError("need at least 3 step counts")
-    if any(b <= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("steps_list must be strictly ascending")
+    grid = refinement(T, steps_list)
     ue, ve = exact_solution(mode.lam, u0, v0, T)
     rows = []
-    for n in steps:
-        tau = T / n
+    for n, tau in grid:
         cfg = StepConfig(tau=tau, variant=variant)
         traj = integrate(p, mode, cfg, u0, v0, n)
         eu = abs(traj.states[-1].d[0] - ue)
@@ -162,11 +169,8 @@ def verify_recurrence(
     k = p.k
     if not 0 <= component < 3 * k:
         raise ValueError(f"component must be in [0, {3 * k})")
-    G = amplification_matrix(p, sigma, variant)
-    blk = diagonal_blocks(G)[component // 3]
+    blk = diagonal_blocks(p, sigma, variant)[component // 3]
     idx = component % 3
-    from .spectral import char_coeffs_3x3  # local import avoids a cycle
-
     c = char_coeffs_3x3(blk)
     vec = np.ones(3)
     seq = []

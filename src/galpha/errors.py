@@ -6,8 +6,11 @@ class SingularStepError(ArithmeticError):
     singular or numerically indistinguishable from zero.
 
     The message names the offending divisor so CLI users can see which
-    block and parameter combination broke the solve.
+    block and parameter combination broke the solve.  A solve over many
+    sigmas sets ``sigma`` to the first singular one.
     """
+
+    sigma: float | None = None
 
 
 class UnsupportedParametersError(ValueError):

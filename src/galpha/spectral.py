@@ -1,10 +1,11 @@
-"""Eigenvalue analysis of the amplification matrix.
+"""Eigenvalue analysis of the amplification matrix, batched over sigma.
 
 Because G is block upper triangular with 3x3 diagonal blocks, its
-spectrum is the union of the k block spectra.  ``eigvals`` stacks the
-diagonal blocks into one (k, 3, 3) array and takes all their
-eigenvalues in a single ``np.linalg.eigvals`` call, then post-processes
-each block's three roots:
+spectrum is the union of the k block spectra.  ``eigvals`` takes the
+diagonal blocks at every sigma from ``amplification.diagonal_blocks``
+in one (..., k, 3, 3) stack and all their eigenvalues in a single
+``np.linalg.eigvals`` call, then post-processes each block's three
+roots as array operations:
 
 * A fully clustered triple is collapsed onto the real axis.  In the
   stiff limit the last block tends to a triple root at rho_k, and the
@@ -18,6 +19,10 @@ each block's three roots:
   surface as spurious imaginary parts while spectral radii stay
   accurate to round-off.
 
+Results are arrays with sigma's shape in front: ``eigvals`` gives
+(..., k, 3) complex values, ``spectral_radius`` one float per sigma, and
+``sweep_spectrum`` a ``Spectrum`` of the three arrays.
+
 Sigma convention: sigma = lambda*tau^2 >= 0 everywhere; sweeps use a
 positive log axis.
 """
@@ -29,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SchemeParameters, from_alphas
-from .errors import UnsupportedParametersError
-from .amplification import amplification_matrix, diagonal_blocks
+from .errors import SingularStepError, UnsupportedParametersError
+from .amplification import diagonal_blocks
 from .stepper import Variant
 
 
@@ -44,22 +49,13 @@ class CubicCoefficients:
 
 
 @dataclass(frozen=True)
-class EigenSet:
-    """3k eigenvalues grouped by block, 3 per block; within each block
-    sorted by descending magnitude, ties by descending real part."""
+class Spectrum:
+    """A sweep: sigma (N,), eigs (N, k, 3) as ``eigvals`` gives them, and
+    the spectral radius (N,) at each sigma."""
 
-    k: int
-    values: tuple[complex, ...]
-
-    def blocks(self) -> list[tuple[complex, complex, complex]]:
-        return [tuple(self.values[3 * j : 3 * j + 3]) for j in range(self.k)]
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    sigma: float
-    eigs: EigenSet
-    radius: float
+    sigma: np.ndarray
+    eigs: np.ndarray
+    radius: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -84,6 +80,10 @@ class ParameterAxis:
     lo: float
     hi: float
     n: int
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"axis resolution must be >= 2, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -135,53 +135,33 @@ def char_coeffs_3x3(M) -> CubicCoefficients:
 FLATTEN_TOL = 1e-3
 
 # Three roots within this relative separation of each other are a
-# clustered triple and are collapsed (see _block_eigs).  Criterion 3
-# fails without the collapse: at sigma = 1e10 the magnitudes deviate
-# from rho by 6.9e-4 against its bound of 1e-4.
+# clustered triple and are collapsed (see the module docstring).
+# Criterion 3 fails without the collapse: at sigma = 1e10 the magnitudes
+# deviate from rho by 6.9e-4 against its bound of 1e-4.
 CLUSTER_TOL = 1e-2
 
 
-def _flatten_near_real(roots) -> list[complex]:
-    """Replace conjugate pairs with |Im| <= FLATTEN_TOL * max(1, |z|)
-    by two real values of the same magnitude (sign from the real part)."""
-    out = []
-    for z in roots:
-        mag = abs(z)
-        if z.imag != 0.0 and abs(z.imag) <= FLATTEN_TOL * max(1.0, mag):
-            out.append(complex(mag if z.real >= 0.0 else -mag))
-        else:
-            out.append(complex(z))
-    return out
-
-
-def _block_eigs(roots) -> list[complex]:
-    """Post-process the three eigenvalues of one 3x3 block.
-
-    A fully clustered triple becomes three real values of magnitude
-    |r1*r2*r3|^(1/3), signed by the real trace; otherwise near-real pairs
-    are flattened magnitude-preservingly."""
-    r0, r1, r2 = roots
-    scale = max(1.0, abs(r0), abs(r1), abs(r2))
-    if max(abs(r0 - r1), abs(r0 - r2), abs(r1 - r2)) < CLUSTER_TOL * scale:
-        mag = abs(r0 * r1 * r2) ** (1.0 / 3.0)
-        val = complex(mag if (r0 + r1 + r2).real >= 0.0 else -mag)
-        return [val, val, val]
-    return _flatten_near_real(roots)
-
-
-def _sort_block(roots) -> list[complex]:
-    return sorted(roots, key=lambda z: (-abs(z), -z.real, -z.imag))
-
-
 def eigvals(
-    p: SchemeParameters, sigma: float, variant: Variant = Variant.FULL_TAYLOR
-) -> EigenSet:
-    """Spectrum of G(sigma) as the union of the k block spectra."""
-    G = amplification_matrix(p, sigma, variant)
-    values: list[complex] = []
-    for roots in np.linalg.eigvals(np.array(diagonal_blocks(G))).tolist():
-        values.extend(_sort_block(_block_eigs(roots)))
-    return EigenSet(k=p.k, values=tuple(values))
+    p: SchemeParameters, sigma, variant: Variant = Variant.FULL_TAYLOR
+) -> np.ndarray:
+    """Spectrum of G at every sigma as the union of the k block spectra,
+    shape sigma.shape + (k, 3).  Each block's three values are sorted by
+    descending magnitude, ties by descending real, then imaginary part."""
+    r = np.linalg.eigvals(diagonal_blocks(p, sigma, variant)).astype(complex)
+    mag = np.abs(r)
+    # A clustered triple becomes three real values of magnitude
+    # |r1*r2*r3|^(1/3), signed by the real trace.
+    spread = np.abs(r - np.roll(r, 1, axis=-1)).max(axis=-1)
+    clustered = spread < CLUSTER_TOL * np.maximum(1.0, mag.max(axis=-1))
+    collapsed = np.abs(r[..., 0] * r[..., 1] * r[..., 2]) ** (1.0 / 3.0)
+    collapsed = np.where(r.real.sum(axis=-1) >= 0.0, collapsed, -collapsed)
+    # Otherwise pairs with |Im| <= FLATTEN_TOL * max(1, |z|) become two
+    # real values of the same magnitude, signed by the real part.
+    near_real = (r.imag != 0.0) & (np.abs(r.imag) <= FLATTEN_TOL * np.maximum(1.0, mag))
+    flat = np.where(near_real, np.where(r.real >= 0.0, mag, -mag), r)
+    z = np.where(clustered[..., None], collapsed[..., None], flat)
+    order = np.lexsort((-z.imag, -z.real, -np.abs(z)), axis=-1)
+    return np.take_along_axis(z, order, axis=-1)
 
 
 def limit_eigs_sigma_zero(p: SchemeParameters) -> list[float]:
@@ -211,9 +191,10 @@ def limit_eigs_sigma_inf(p: SchemeParameters) -> list[float]:
 
 
 def spectral_radius(
-    p: SchemeParameters, sigma: float, variant: Variant = Variant.FULL_TAYLOR
-) -> float:
-    return max(abs(z) for z in eigvals(p, sigma, variant).values)
+    p: SchemeParameters, sigma, variant: Variant = Variant.FULL_TAYLOR
+):
+    """Largest eigenvalue magnitude of G at every sigma (sigma's shape)."""
+    return np.abs(eigvals(p, sigma, variant)).max(axis=(-2, -1))
 
 
 def sweep_spectrum(
@@ -222,17 +203,10 @@ def sweep_spectrum(
     sigma_max: float,
     n_points: int,
     variant: Variant = Variant.FULL_TAYLOR,
-) -> list[SpectrumSample]:
-    cfg = SweepConfig(sigma_min, sigma_max, n_points)
-    samples = []
-    for s in cfg.grid():
-        es = eigvals(p, float(s), variant)
-        samples.append(
-            SpectrumSample(
-                sigma=float(s), eigs=es, radius=max(abs(z) for z in es.values)
-            )
-        )
-    return samples
+) -> Spectrum:
+    sigma = SweepConfig(sigma_min, sigma_max, n_points).grid()
+    eigs = eigvals(p, sigma, variant)
+    return Spectrum(sigma=sigma, eigs=eigs, radius=np.abs(eigs).max(axis=(-2, -1)))
 
 
 def classify_stability(
@@ -243,18 +217,15 @@ def classify_stability(
     """(stable, max radius, argmax sigma) over the sweep grid.
 
     Grid-based proxy for unconditional stability; a singular assembly at
-    any grid point counts as unstable.
+    any grid point counts as unstable, reported at the first such sigma.
     """
-    max_r = -1.0
-    arg = float("nan")
-    for s in sweep.grid():
-        try:
-            r = spectral_radius(p, float(s), variant)
-        except ArithmeticError:
-            return (False, float("inf"), float(s))
-        if r > max_r:
-            max_r, arg = r, float(s)
-    return (max_r <= 1.0 + STABILITY_TOL, max_r, arg)
+    grid = sweep.grid()
+    try:
+        radius = spectral_radius(p, grid, variant)
+    except SingularStepError as exc:
+        return (False, float("inf"), exc.sigma)
+    i = int(radius.argmax())
+    return (bool(radius[i] <= 1.0 + STABILITY_TOL), float(radius[i]), float(grid[i]))
 
 
 def _axis_value(name: str, fixed: dict, ax_vals: dict) -> float:
@@ -279,8 +250,6 @@ def stability_map(
     """
     if x_axis.name == y_axis.name:
         raise ValueError("axes must vary distinct parameters")
-    if x_axis.n < 2 or y_axis.n < 2:
-        raise ValueError("axis resolution must be >= 2")
     names = [f"alpha{i + 1}" for i in range(k)] + ["alpha_f"]
     for ax in (x_axis, y_axis):
         if ax.name not in names:
@@ -296,11 +265,7 @@ def stability_map(
                 stable, max_r, _ = classify_stability(p, sweep)
             except (ArithmeticError, np.linalg.LinAlgError):
                 stable, max_r = False, float("inf")
-            points.append(
-                StabilityMapPoint(
-                    x=float(x), y=float(y), max_radius=max_r, stable=stable
-                )
-            )
+            points.append(StabilityMapPoint(float(x), float(y), max_r, stable))
     return StabilityMap(
         k=k, x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), points=tuple(points)
     )

@@ -143,12 +143,28 @@ class TestAmplification:
 
     def test_diagonal_blocks_cover_full_spectrum(self):
         p = derive(DissipationSpec(3, (0.3, 0.6, 0.9)))
-        G = amplification_matrix(p, 4.2)
-        union = np.concatenate([np.linalg.eigvals(b) for b in diagonal_blocks(G)])
-        full = np.linalg.eigvals(G.G)
+        union = np.linalg.eigvals(diagonal_blocks(p, 4.2)).ravel()
+        full = np.linalg.eigvals(amplification_matrix(p, 4.2).G)
         assert np.sort(np.abs(union)) == pytest.approx(
             np.sort(np.abs(full)), abs=1e-10
         )
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_diagonal_blocks_match_the_dense_solve(self, k, variant):
+        # Guards the affine-in-sigma assembly of the A and B blocks.
+        p = derive(DissipationSpec(k, (0.3, 0.6, 0.9, 0.1)[:k]))
+        sigmas = [0.0, 1e-6, 1.0, 1e8]
+        blocks = diagonal_blocks(p, sigmas, variant)
+        assert blocks.shape == (4, k, 3, 3)
+        for sigma, got in zip(sigmas, blocks):
+            G = amplification_matrix(p, sigma, variant).G
+            want = np.stack([G[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] for j in range(k)])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_diagonal_blocks_reject_negative_sigma(self):
+        with pytest.raises(ValueError):
+            diagonal_blocks(K2, [1.0, -1.0])
 
 
 class TestScaling:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ class TestParams:
             capsys, "params", "--k", "2", "--rho", "0.5,0.5", "--out", str(tmp_path)
         )
         assert code == 0
-        data = json.loads(open(summary_file(out)).read())
+        data = json.loads(Path(summary_file(out)).read_text())
         assert data["k"] == 2
         assert data["alpha"] == [1.3333333333333333, 1.0]
         assert data["alpha_f"] == 0.6666666666666666
@@ -31,10 +32,10 @@ class TestParams:
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         argv = ("params", "--k", "1", "--rho", "0.8", "--out", str(tmp_path))
         _, out1, _ = run_cli(capsys, *argv)
-        first = open(summary_file(out1), "rb").read()
+        first = Path(summary_file(out1)).read_bytes()
         _, out2, _ = run_cli(capsys, *argv)
         assert summary_file(out1) == summary_file(out2)
-        assert open(summary_file(out2), "rb").read() == first
+        assert Path(summary_file(out2)).read_bytes() == first
 
     def test_different_flags_different_files(self, tmp_path, capsys):
         _, out1, _ = run_cli(capsys, "params", "--k", "1", "--rho", "0.5", "--out", str(tmp_path))
@@ -79,7 +80,7 @@ class TestConverge:
         assert "fitted_order_v=" in out
         fields = dict(part.split("=", 1) for part in out.split())
         assert abs(float(fields["fitted_order_v"]) - 4.0) < 0.2
-        summary = json.loads(open(fields["summary"]).read())
+        summary = json.loads(Path(fields["summary"]).read_text())
         assert summary["k"] == 2
 
 
@@ -140,7 +141,7 @@ class TestLimits:
             capsys, "limits", "--k", "2", "--rho", "0.1,0.4", "--out", str(tmp_path)
         )
         assert code == 0
-        data = json.loads(open(summary_file(out)).read())
+        data = json.loads(Path(summary_file(out)).read_text())
         assert data["sigma_inf"] == [0.1, 0.1, 0.0, 0.4, 0.4, 0.4]
         assert data["sigma_zero"][0] == 1.0
 
@@ -186,6 +187,38 @@ class TestFlagValidation:
         code, out, _ = run_cli(
             capsys, "simulate", "--k", "1", "--rho", "0.5", *argv,
             "--steps", "4", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("sigma_min, sigma_max, points", [
+        ("0", "1e3", "5"), ("1e3", "1e3", "5"), ("1e3", "1e-3", "5"), ("1e-3", "1e3", "1"),
+    ])
+    def test_out_of_domain_sweep_exits_2(self, tmp_path, capsys, sigma_min, sigma_max, points):
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--k", "1", "--rho", "0.5", "--sigma-min", sigma_min,
+            "--sigma-max", sigma_max, "--points", points, "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ("--vary", "alpha_f:0:1:1", "--vary", "alpha2:0:1:3"),
+        ("--vary", "alpha_f:0:1:3", "--vary", "alpha2:0:1:3", "--sigma-points", "1"),
+        ("--fix", "alpha1", "--vary", "alpha_f:0:1:3", "--vary", "alpha2:0:1:3"),
+    ])
+    def test_out_of_domain_map_exits_2(self, tmp_path, capsys, flags):
+        code, out, _ = run_cli(
+            capsys, "stability-map", "--k", "2", *flags, "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("T, steps", [("1", "8,4,16"), ("-1", "8,16,32"), ("1", "0,1,2")])
+    def test_out_of_domain_converge_exits_2(self, tmp_path, capsys, T, steps):
+        code, out, _ = run_cli(
+            capsys, "converge", "--k", "1", "--rho", "0.5", "--lambda", "1",
+            "--T", T, "--steps", steps, "--out", str(tmp_path),
         )
         assert code == 2
         assert out == ""

@@ -4,13 +4,14 @@ import pytest
 from galpha import (
     DissipationSpec,
     ParameterAxis,
+    SingularStepError,
     SweepConfig,
     UnsupportedParametersError,
+    Variant,
     amplification_matrix,
     char_coeffs_3x3,
     classify_stability,
     derive,
-    diagonal_blocks,
     eigvals,
     from_alphas,
     limit_eigs_sigma_inf,
@@ -45,18 +46,42 @@ class TestEigvals:
             sigma = 10.0 ** rng.uniform(-3, 3)
             es = eigvals(p, sigma)
             dense = np.linalg.eigvals(amplification_matrix(p, sigma).G)
-            assert np.sort(np.abs(es.values)) == pytest.approx(
+            assert np.sort(np.abs(es), axis=None) == pytest.approx(
                 np.sort(np.abs(dense)), abs=1e-8
             )
 
     def test_blocks_grouping_and_sort(self):
         p = derive(DissipationSpec(2, (0.5, 0.5)))
         es = eigvals(p, 1.0)
-        blocks = es.blocks()
-        assert len(blocks) == 2 and all(len(b) == 3 for b in blocks)
-        for b in blocks:
+        assert es.shape == (2, 3) and es.dtype == complex
+        for b in es:
             mags = [abs(z) for z in b]
             assert mags == sorted(mags, reverse=True)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batched_equals_stacked_scalar_calls(self, k, variant):
+        p = derive(DissipationSpec(k, (0.0, 0.5, 1.0)[:k]))
+        grid = np.concatenate([[0.0], SweepConfig(1e-6, 1e10, 80).grid()])
+        batched = eigvals(p, grid, variant)
+        stacked = np.stack([eigvals(p, float(s), variant) for s in grid])
+        assert batched.shape == (grid.size, k, 3)
+        assert np.array_equal(batched, stacked)
+        radius = spectral_radius(p, grid, variant)
+        assert np.array_equal(radius, [spectral_radius(p, float(s), variant) for s in grid])
+
+    def test_singular_sigma_names_the_divisor(self):
+        # alpha_1 = 0 gives beta_1 = 0: block 1's divisor vanishes at every sigma
+        p = from_alphas(2, (0.0, 1.0), 0.6)
+        with pytest.raises(SingularStepError, match="block 1 divisor"):
+            eigvals(p, 1.0)
+
+    def test_singular_sigma_in_a_batch_is_the_first_one(self):
+        # alpha_m = -1, beta = 1/16, alpha_f = 1/2: det A = 0 at sigma = 32 only
+        p = from_alphas(1, (-1.0,), 0.5)
+        with pytest.raises(SingularStepError, match="divisor") as err:
+            eigvals(p, [1.0, 32.0, 64.0])
+        assert err.value.sigma == 32.0
 
 
 class TestLimits:
@@ -69,7 +94,7 @@ class TestLimits:
         rng = np.random.default_rng(21)
         for _ in range(10):
             p = derive(DissipationSpec(2, tuple(rng.uniform(0, 1, 2))))
-            got = np.sort(np.abs(eigvals(p, 1e-12).values))
+            got = np.sort(np.abs(eigvals(p, 1e-12)), axis=None)
             want = np.sort(np.abs(limit_eigs_sigma_zero(p)))
             assert got == pytest.approx(want, abs=1e-6)
 
@@ -85,10 +110,10 @@ class TestLimits:
     def test_sigma_inf_matches_spectrum(self):
         p = derive(DissipationSpec(2, (0.1, 0.4)))
         es = eigvals(p, 1e10)
-        got = np.sort(np.abs(es.values))
+        got = np.sort(np.abs(es), axis=None)
         want = np.sort(np.abs(limit_eigs_sigma_inf(p)))
         assert got == pytest.approx(want, abs=1e-4)
-        assert max(abs(z.imag) for z in es.values) <= 1e-6
+        assert np.max(np.abs(es.imag)) <= 1e-6
 
     def test_sigma_inf_requires_rho(self):
         p = from_alphas(2, (2.0, 1.0), 0.6)
@@ -102,12 +127,13 @@ class TestLimits:
 
 class TestSweep:
     def test_grid_endpoints_and_length(self):
-        samples = sweep_spectrum(
+        spec = sweep_spectrum(
             derive(DissipationSpec(1, (0.5,))), sigma_min=1e-4, sigma_max=1e2, n_points=7
         )
-        assert len(samples) == 7
-        assert samples[0].sigma == pytest.approx(1e-4)
-        assert samples[-1].sigma == pytest.approx(1e2)
+        assert spec.sigma.shape == spec.radius.shape == (7,)
+        assert spec.eigs.shape == (7, 1, 3)
+        assert spec.sigma[0] == pytest.approx(1e-4)
+        assert spec.sigma[-1] == pytest.approx(1e2)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -116,8 +142,11 @@ class TestSweep:
             SweepConfig(n_points=1).grid()
 
     def test_radius_field_consistent(self):
-        for s in sweep_spectrum(derive(DissipationSpec(1, (0.2,))), 1e-3, 1e3, 5):
-            assert s.radius == max(abs(z) for z in s.eigs.values)
+        p = derive(DissipationSpec(1, (0.2,)))
+        spec = sweep_spectrum(p, 1e-3, 1e3, 5)
+        for sigma, eigs, radius in zip(spec.sigma, spec.eigs, spec.radius):
+            assert radius == np.max(np.abs(eigs))
+            assert radius == spectral_radius(p, float(sigma))
 
 
 class TestClassifyStability:
@@ -134,6 +163,10 @@ class TestClassifyStability:
         assert not stable
         assert max_r > 1.1
         assert arg > 0.0
+
+    def test_singular_scheme_is_unstable_at_the_first_grid_sigma(self):
+        p = from_alphas(2, (0.0, 1.0), 0.6)  # block 1 divisor is 0 everywhere
+        assert classify_stability(p) == (False, float("inf"), 1e-06)
 
 
 class TestStabilityMap:
@@ -156,6 +189,8 @@ class TestStabilityMap:
             stability_map(2, {}, ax, ax)
         with pytest.raises(ValueError):
             stability_map(2, {"alpha1": 2.0}, ax, ParameterAxis("bogus", 0, 1, 3))
+        with pytest.raises(ValueError):
+            ParameterAxis("alpha1", 0, 1, 1)
         with pytest.raises(ValueError):
             # alpha2 neither fixed nor varied
             stability_map(2, {}, ax, ParameterAxis("alpha1", 0, 1, 3))
