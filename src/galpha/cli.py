@@ -54,7 +54,7 @@ def _parse_steps(text: str) -> list[int]:
 def _parse_vary(text: str) -> spectral.ParameterAxis:
     try:
         name, lo, hi, n = text.split(":")
-        return spectral.ParameterAxis(name, float(lo), float(hi), int(n))
+        return spectral.ParameterAxis(name, _finite(lo), _finite(hi), int(n))
     except ValueError:
         raise argparse.ArgumentTypeError(f"--vary expects NAME:lo:hi:n with n >= 2, got {text!r}")
 
@@ -69,9 +69,9 @@ def _parse_fix(items) -> dict:
                 raise ValueError(f"--fix expects NAME=VALUE, got {piece!r}")
             name, val = piece.split("=", 1)
             try:
-                fixed[name] = float(val)
-            except ValueError:
-                raise ValueError(f"--fix value for {name!r} is not a number")
+                fixed[name] = _finite(val)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"--fix value for {name!r}: {exc}")
     return fixed
 
 
@@ -281,9 +281,10 @@ def run(argv) -> int:
             spectral.SweepConfig(args.sigma_min, args.sigma_max, args.points).grid()
         elif args.subcommand == "stability-map":
             spectral.SweepConfig(n_points=args.sigma_points).grid()
-            _parse_fix(args.fix)
+            fixed = _parse_fix(args.fix)
             if len(args.vary) != 2:
                 raise ValueError("--vary must be given exactly twice")
+            spectral.check_map_names(args.k, fixed, *args.vary)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,17 @@
 """Modal front-end for symmetric systems u'' + K u = 0 (unit mass).
 
-A cyclic-by-rows Jacobi eigensolver diagonalizes K; each mode is then an
-independent scalar oscillator handled by the scalar integrators, and the
-results are rotated back to physical coordinates.  Modes are mutually
-independent, so a run parallelizes trivially if ever needed; here they
-are integrated sequentially.
+A Jacobi eigensolver diagonalizes K.  Each sweep runs the round-robin
+(Brent-Luk) ordering: rounds of disjoint index pairs that together
+cover every pair once, with one rotation matrix per round that applies
+all of that round's rotations at once.  Each mode is then an
+independent scalar oscillator; one step plan, built for the array of
+modal lambdas, advances every mode together, with each mode's numbers
+bit-identical to a scalar ``integrate`` of that mode.  The results are
+rotated back to physical coordinates.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -17,7 +19,11 @@ import numpy as np
 
 from .errors import JacobiConvergenceError
 from .params import SchemeParameters
-from .stepper import OscillatorMode, StepConfig, integrate
+from .stepper import OscillatorMode, StepConfig, _csv_rows, _StepPlan, init_state
+
+# Not used here; bench/test_bench.py::test_tracer_restores_every_patched_function
+# reads galpha.modal.integrate.
+from .stepper import integrate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,7 @@ class SymmetricSystem:
 class ModalDecomposition:
     lambdas: np.ndarray  # ascending
     Q: np.ndarray  # orthogonal, columns are eigenvectors
+    sweeps: int = 0  # Jacobi sweeps run; the default lets callers build one from (lambdas, Q)
 
 
 @dataclass(frozen=True)
@@ -61,14 +68,9 @@ class SystemTrajectory:
 
     def write_csv(self, fh) -> None:
         n = self.displacements.shape[1]
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"u{i}" for i in range(n)] + [f"v{i}" for i in range(n)])
-        for i, t in enumerate(self.times):
-            w.writerow(
-                [repr(float(t))]
-                + [repr(float(x)) for x in self.displacements[i]]
-                + [repr(float(x)) for x in self.velocities[i]]
-            )
+        header = ",".join(["t"] + [f"u{i}" for i in range(n)] + [f"v{i}" for i in range(n)])
+        rows = np.column_stack((self.times, self.displacements, self.velocities)).tolist()
+        fh.write(header + "\r\n" + _csv_rows(rows))
 
 
 def load_system(path) -> SymmetricSystem:
@@ -82,8 +84,30 @@ def load_system(path) -> SymmetricSystem:
     )
 
 
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Circle-method schedule of one Jacobi sweep over an n x n matrix:
+    index pairs (i, j), i < j, split into rounds of disjoint pairs that
+    together cover every pair exactly once.  An odd n is padded with a
+    dummy index whose pairs are dropped, so a sweep has n - 1 rounds for
+    even n and n for odd n."""
+    m = n + n % 2
+    players = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [
+            (min(a, b), max(a, b))
+            for a, b in zip(players[: m // 2], players[::-1])
+            if max(a, b) < n
+        ]
+        if pairs:
+            i, j = np.array(pairs).T
+            rounds.append((i, j))
+        players = [players[0], players[-1], *players[1:-1]]
+    return rounds
+
+
 def jacobi_eig(K, tol: float = 1e-12, max_sweeps: int = 100) -> ModalDecomposition:
-    """Cyclic-by-rows Jacobi rotations until the off-diagonal Frobenius
+    """Round-robin cyclic Jacobi sweeps until the off-diagonal Frobenius
     norm drops below tol * ||K||_F.  Adequate and robust at desk scale."""
     A = np.array(K, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -94,6 +118,7 @@ def jacobi_eig(K, tol: float = 1e-12, max_sweeps: int = 100) -> ModalDecompositi
     n = A.shape[0]
     Q = np.eye(n)
     norm = np.linalg.norm(A, "fro") or 1.0
+    schedule = _round_robin(n)
 
     def off(M):
         # norm of the strictly off-diagonal part, computed directly
@@ -107,30 +132,29 @@ def jacobi_eig(K, tol: float = 1e-12, max_sweeps: int = 100) -> ModalDecompositi
                 f"Jacobi did not converge in {max_sweeps} sweeps "
                 f"(off-diagonal {off(A):.3e}, target {tol * norm:.3e})"
             )
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if A[i, j] == 0.0:
-                    continue
-                theta = 0.5 * (A[j, j] - A[i, i]) / A[i, j]
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:
-                    # theta^2 would overflow; use the asymptotic root
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[i, i] = rot[j, j] = c
-                rot[i, j] = s
-                rot[j, i] = -s
-                A = rot.T @ A @ rot
-                Q = Q @ rot
+        for i, j in schedule:
+            aij = A[i, j]
+            skip = aij == 0.0
+            theta = 0.5 * (A[j, j] - A[i, i]) / np.where(skip, 1.0, aij)
+            # theta^2 would overflow past 1e150; use the asymptotic root there
+            big = np.abs(theta) > 1e150
+            th = np.where(big, 1.0, theta)
+            t = np.sign(th) / (np.abs(th) + np.sqrt(th * th + 1.0))
+            t[big] = 0.5 / theta[big]
+            t[theta == 0.0] = 1.0
+            t[skip] = 0.0  # a zero entry gets the identity rotation
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            R = np.eye(n)
+            R[i, i] = R[j, j] = c
+            R[i, j] = s
+            R[j, i] = -s
+            A = R.T @ A @ R
+            Q = Q @ R
         sweeps += 1
     lam = np.diag(A).copy()
     order = np.argsort(lam)
-    return ModalDecomposition(lambdas=lam[order], Q=Q[:, order])
+    return ModalDecomposition(lambdas=lam[order], Q=Q[:, order], sweeps=sweeps)
 
 
 def integrate_system(
@@ -139,23 +163,27 @@ def integrate_system(
     cfg: StepConfig,
     n_steps: int,
 ) -> SystemTrajectory:
-    """Transform to modal coordinates, integrate each mode with the
-    scalar scheme, transform back."""
+    """Transform to modal coordinates, advance every mode with one step
+    plan over the array of modal lambdas, transform back."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dec = jacobi_eig(sys.K)
     y0 = dec.Q.T @ sys.u0
     w0 = dec.Q.T @ sys.v0
-    n = sys.n
-    U = np.zeros((n_steps + 1, n))
-    V = np.zeros((n_steps + 1, n))
-    times = None
-    for m in range(n):
-        mode = OscillatorMode(lam=float(dec.lambdas[m]))
-        traj = integrate(p, mode, cfg, float(y0[m]), float(w0[m]), n_steps)
-        U[:, m] = [s.d[0] for s in traj.states]
-        V[:, m] = [s.d[1] for s in traj.states]
-        times = np.asarray(traj.times)
+    plan = _StepPlan(p, OscillatorMode(lam=dec.lambdas), cfg)
+    # the exact initial derivatives of each mode, as 3k arrays over modes
+    d = list(np.array([
+        init_state(OscillatorMode(lam=lam), y, w, p.k).d
+        for lam, y, w in zip(dec.lambdas.tolist(), y0.tolist(), w0.tolist())
+    ]).T)
+    U = np.empty((n_steps + 1, sys.n))
+    V = np.empty((n_steps + 1, sys.n))
+    U[0], V[0] = d[0], d[1]
+    for i in range(1, n_steps + 1):
+        d = plan.advance(d)
+        U[i], V[i] = d[0], d[1]
     return SystemTrajectory(
-        times=times,
+        times=np.arange(n_steps + 1) * cfg.tau,
         displacements=U @ dec.Q.T,
         velocities=V @ dec.Q.T,
     )

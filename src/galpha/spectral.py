@@ -236,6 +236,20 @@ def _axis_value(name: str, fixed: dict, ax_vals: dict) -> float:
     raise ValueError(f"parameter {name} is neither fixed nor varied")
 
 
+def check_map_names(k: int, fixed: dict, x_axis: ParameterAxis, y_axis: ParameterAxis) -> None:
+    """Reject a map whose axes coincide, or whose axis or fixed names are
+    not among "alpha1".."alpha{k}" and "alpha_f"."""
+    if x_axis.name == y_axis.name:
+        raise ValueError("axes must vary distinct parameters")
+    names = [f"alpha{i + 1}" for i in range(k)] + ["alpha_f"]
+    for ax in (x_axis, y_axis):
+        if ax.name not in names:
+            raise ValueError(f"unknown parameter axis {ax.name!r}")
+    for name in fixed:
+        if name not in names:
+            raise ValueError(f"unknown fixed parameter {name!r}")
+
+
 def stability_map(
     k: int,
     fixed: dict,
@@ -248,12 +262,7 @@ def stability_map(
     Parameter names are "alpha1".."alpha{k}" and "alpha_f"; gamma and
     beta are recomputed from the order-condition laws at every point.
     """
-    if x_axis.name == y_axis.name:
-        raise ValueError("axes must vary distinct parameters")
-    names = [f"alpha{i + 1}" for i in range(k)] + ["alpha_f"]
-    for ax in (x_axis, y_axis):
-        if ax.name not in names:
-            raise ValueError(f"unknown parameter axis {ax.name!r}")
+    check_map_names(k, fixed, x_axis, y_axis)
     points = []
     for y in np.linspace(y_axis.lo, y_axis.hi, y_axis.n):
         for x in np.linspace(x_axis.lo, x_axis.hi, x_axis.n):

@@ -206,6 +206,9 @@ class TestFlagValidation:
         ("--vary", "alpha_f:0:1:1", "--vary", "alpha2:0:1:3"),
         ("--vary", "alpha_f:0:1:3", "--vary", "alpha2:0:1:3", "--sigma-points", "1"),
         ("--fix", "alpha1", "--vary", "alpha_f:0:1:3", "--vary", "alpha2:0:1:3"),
+        ("--fix", "alpha1=nan", "--vary", "alpha2:1:2:3", "--vary", "alpha_f:0.5:1:3"),
+        ("--fix", "alpha1=2", "--vary", "alpha_f:nan:1:3", "--vary", "alpha2:1:2:3"),
+        ("--fix", "alpha1=2,bogus=5", "--vary", "alpha_f:0.5:1:3", "--vary", "alpha2:1:2:3"),
     ])
     def test_out_of_domain_map_exits_2(self, tmp_path, capsys, flags):
         code, out, _ = run_cli(

@@ -1,22 +1,51 @@
+import csv
 import io
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import galpha.modal
 from galpha import (
     DissipationSpec,
     JacobiConvergenceError,
+    OscillatorMode,
     StepConfig,
     SymmetricSystem,
+    SystemTrajectory,
+    Variant,
     derive,
+    from_alphas,
+    integrate,
     integrate_system,
     jacobi_eig,
     load_system,
 )
+from galpha.modal import _round_robin
 
 K_2DOF = np.array([[2.0, -1.0], [-1.0, 2.0]])  # modes lambda = 1, 3
+
+
+def random_spd(rng, n: int) -> np.ndarray:
+    M = rng.normal(size=(n, n))
+    return M @ M.T / n + 0.5 * np.eye(n)
+
+
+def spring_chain(n: int) -> np.ndarray:
+    """Fixed-fixed chain: tridiagonal, so most entries start exactly 0."""
+    c = np.linspace(0.5, 2.0, n + 1)
+    return np.diag(c[:-1] + c[1:]) - np.diag(c[1:-1], 1) - np.diag(c[1:-1], -1)
+
+
+def assert_eigendecomposition(K, dec) -> None:
+    n = K.shape[0]
+    ref = np.linalg.eigvalsh(K)
+    assert np.max(np.abs(dec.lambdas - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+    assert np.max(np.abs(K @ dec.Q - dec.Q * dec.lambdas)) <= 1e-10 * np.linalg.norm(K)
+    assert np.max(np.abs(dec.Q.T @ dec.Q - np.eye(n))) <= 1e-12
 
 
 class TestSymmetricSystem:
@@ -66,6 +95,38 @@ class TestJacobiEig:
     def test_convergence_failure_raises(self):
         with pytest.raises(JacobiConvergenceError):
             jacobi_eig(K_2DOF, max_sweeps=0)
+        with pytest.raises(JacobiConvergenceError):
+            jacobi_eig(random_spd(np.random.default_rng(5), 9), max_sweeps=1)
+
+    def test_sweep_count(self):
+        assert jacobi_eig(np.diag([3.0, 1.0, 2.0])).sweeps == 0
+        rng = np.random.default_rng(43)
+        M = rng.normal(size=(6, 6))
+        assert 1 <= jacobi_eig(M + M.T, max_sweeps=20).sweeps <= 20
+
+    def test_n80_matches_eigvalsh(self):
+        rng = np.random.default_rng(80)
+        M = rng.normal(size=(80, 80))
+        assert_eigendecomposition(M + M.T, jacobi_eig(M + M.T))
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_odd_and_single_dof(self, n):
+        K = random_spd(np.random.default_rng(n), n)
+        assert_eigendecomposition(K, jacobi_eig(K))
+
+    def test_spring_chain_zero_entries(self):
+        K = spring_chain(12)
+        assert_eigendecomposition(K, jacobi_eig(K))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 27])
+    def test_round_robin_covers_every_pair_once(self, n):
+        rounds = _round_robin(n)
+        assert len(rounds) == (n - 1 if n % 2 == 0 else n if n > 1 else 0)
+        for i, j in rounds:
+            assert np.all(i < j)
+            assert len(set(i.tolist()) | set(j.tolist())) == 2 * len(i)  # disjoint
+        pairs = sorted((a, b) for i, j in rounds for a, b in zip(i.tolist(), j.tolist()))
+        assert pairs == list(itertools.combinations(range(n), 2))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -130,3 +191,62 @@ class TestIntegrateSystem:
         assert len(lines) == 4
         first = [float(x) for x in lines[1].split(",")]
         assert first == pytest.approx([0.0, 1.0, 0.0, 0.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("variant", [Variant.FULL_TAYLOR, Variant.AS_PRINTED])
+    @pytest.mark.parametrize("pattern", ["dense", "chain"])
+    def test_modes_bit_identical_to_scalar_integrate(self, monkeypatch, k, variant, pattern):
+        rng = np.random.default_rng(k)
+        n, n_steps = 7, 40
+        K = random_spd(rng, n) if pattern == "dense" else spring_chain(n)
+        sys_ = SymmetricSystem(K=K, u0=rng.normal(size=n), v0=rng.normal(size=n))
+        p = derive(DissipationSpec(k, tuple(rng.uniform(0.0, 1.0, k))))
+        cfg = StepConfig(tau=0.7 / math.sqrt(np.linalg.eigvalsh(K)[-1]), variant=variant)
+        decs = []
+
+        def capture(K):
+            decs.append(jacobi_eig(K))
+            return decs[-1]
+
+        monkeypatch.setattr(galpha.modal, "jacobi_eig", capture)
+        traj = integrate_system(sys_, p, cfg, n_steps)
+        (dec,) = decs
+        y0, w0 = dec.Q.T @ sys_.u0, dec.Q.T @ sys_.v0
+        U = np.empty((n_steps + 1, n))
+        V = np.empty((n_steps + 1, n))
+        for m in range(n):
+            ref = integrate(p, OscillatorMode(float(dec.lambdas[m])), cfg,
+                            float(y0[m]), float(w0[m]), n_steps)
+            U[:, m] = [s.d[0] for s in ref.states]
+            V[:, m] = [s.d[1] for s in ref.states]
+        assert np.array_equal(traj.times, np.array(ref.times))
+        assert np.array_equal(traj.displacements, U @ dec.Q.T)
+        assert np.array_equal(traj.velocities, V @ dec.Q.T)
+
+    def test_unstable_parameters_warn_once(self):
+        p = from_alphas(2, (0.9, 1.0), 0.6)
+        sys_ = SymmetricSystem(K=spring_chain(5), u0=np.ones(5), v0=np.zeros(5))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            integrate_system(sys_, p, StepConfig(tau=0.1), 20)
+        assert len(caught) == 1
+        assert "alpha_1" in str(caught[0].message)
+
+
+def test_csv_matches_csv_writer():
+    rng = np.random.default_rng(3)
+    special = [-0.0, 5e-324, -5e-324, 1e300, -1e-300, 1.7976931348623157e308]
+    size = 101 * 8 - len(special)
+    scale = 10.0 ** rng.integers(-300, 300, size)
+    values = np.concatenate([special, rng.normal(size=size) * scale])
+    rng.shuffle(values)
+    values = values.reshape(101, 8)
+    traj = SystemTrajectory(times=values[:, 0], displacements=values[:, 1:5], velocities=values[:, 5:])
+    want = io.StringIO()
+    w = csv.writer(want)
+    w.writerow(["t", "u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3"])
+    for row in values:
+        w.writerow([repr(float(x)) for x in row])
+    got = io.StringIO()
+    traj.write_csv(got)
+    assert got.getvalue() == want.getvalue()

@@ -189,6 +189,8 @@ class TestStabilityMap:
             stability_map(2, {}, ax, ax)
         with pytest.raises(ValueError):
             stability_map(2, {"alpha1": 2.0}, ax, ParameterAxis("bogus", 0, 1, 3))
+        with pytest.raises(ValueError, match="bogus"):
+            stability_map(2, {"alpha1": 2.0, "bogus": 5.0}, ax, ParameterAxis("alpha2", 0, 1, 3))
         with pytest.raises(ValueError):
             ParameterAxis("alpha1", 0, 1, 1)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import csv
 import io
 import warnings
 
@@ -6,7 +7,9 @@ import pytest
 
 from galpha import (
     DissipationSpec,
+    ModalState,
     OscillatorMode,
+    SingularStepError,
     StepConfig,
     Variant,
     derive,
@@ -18,6 +21,7 @@ from galpha import (
     step,
     unscale_state,
 )
+from galpha.stepper import Trajectory, _StepPlan
 
 
 def rho_spec(*rho):
@@ -200,3 +204,37 @@ def test_trajectory_csv_export():
     assert lines[0] == "t,d0,d1,d2"
     assert lines[1] == "0.0,1.0,1.0,0.0"
     assert lines[3].startswith("2.0,3.0,")
+
+
+def test_trajectory_csv_matches_csv_writer():
+    values = [-0.0, 5e-324, -5e-324, 1e300, -1e-300, 1.7976931348623157e308, 0.1, -2.5, 3e-7]
+    states = tuple(ModalState(k=1, t=0.5 * i, d=values[i:i + 3]) for i in range(7))
+    traj = Trajectory(times=tuple(s.t for s in states), states=states)
+    want = io.StringIO()
+    w = csv.writer(want)
+    w.writerow(["t", "d0", "d1", "d2"])
+    for s in states:
+        w.writerow([repr(s.t)] + [repr(x) for x in s.d])
+    got = io.StringIO()
+    traj.write_csv(got)
+    assert got.getvalue() == want.getvalue()
+
+
+class TestArrayPlan:
+    """A plan over an array of lambdas, as the modal front end builds."""
+
+    def test_singular_divisor_names_the_lambda(self):
+        p = from_alphas(1, (-0.5,), 0.6)
+        tau = 0.1
+        lam = 0.5 / (tau * tau * 0.6 * p.beta[0])  # alpha + lambda*tau^2*c*beta = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # these alphas also fail the stability conditions
+            with pytest.raises(SingularStepError, match=f"at lambda = {lam!r}"):
+                _StepPlan(p, OscillatorMode(np.array([1.0, lam, 3.0])), StepConfig(tau=tau))
+
+    def test_negative_lambda_rejected(self):
+        p = derive(rho_spec(0.5))
+        with pytest.raises(ValueError, match="lambda = -2.0 < 0"):
+            _StepPlan(p, OscillatorMode(np.array([1.0, -2.0, -3.0])), StepConfig(tau=0.1))
+        cfg = StepConfig(tau=0.1, allow_negative_lambda=True)
+        _StepPlan(p, OscillatorMode(np.array([1.0, -2.0])), cfg)
