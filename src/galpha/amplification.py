@@ -41,14 +41,45 @@ class AmplificationMatrix:
     G: np.ndarray
 
 
+def _block_pair(alpha, beta, gamma, c, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The 3x3 pair (A_jj, B_jj) of one block, the classic generalized-
+    alpha pair, with implicit coupling c (1 for a leading block, alpha_f
+    for the last).  The arguments broadcast; the pair has their shape
+    plus (3, 3)."""
+    alpha, beta, gamma, c, sigma = np.broadcast_arrays(alpha, beta, gamma, c, sigma)
+    A = np.zeros(alpha.shape + (3, 3))
+    B = np.zeros(alpha.shape + (3, 3))
+    A[..., 0, 0] = 1.0
+    A[..., 0, 2] = -beta
+    A[..., 1, 1] = 1.0
+    A[..., 1, 2] = -gamma
+    A[..., 2, 0] = sigma * c
+    A[..., 2, 2] = alpha
+    B[..., 0, 0] = 1.0
+    B[..., 0, 1] = 1.0
+    B[..., 0, 2] = 0.5 - beta
+    B[..., 1, 1] = 1.0
+    B[..., 1, 2] = 1.0 - gamma
+    B[..., 2, 0] = sigma * (c - 1.0)
+    B[..., 2, 2] = alpha - 1.0
+    return A, B
+
+
+def _couplings(p: SchemeParameters) -> np.ndarray:
+    """c_j per block: 1 for the leading blocks, alpha_f for the last."""
+    return np.array([1.0] * (p.k - 1) + [p.alpha_f])
+
+
 def assemble_step_matrices(
     p: SchemeParameters, sigma: float, variant: Variant = Variant.FULL_TAYLOR
 ) -> StepMatrices:
     """Dense 3k x 3k pair (A, B) with A w_{n+1} = B w_n on scaled states.
 
     A is block diagonal in the 3x3 sense; B is block upper triangular.
-    For k = 1 the single block is the classic 3x3 pair with alpha_m in
-    place of alpha_k.
+    The diagonal blocks are ``_block_pair`` for every variant; the
+    variants differ only in B's coupling above the diagonal, which the
+    leading blocks' Taylor spans fill in.  For k = 1 the single block is
+    the classic 3x3 pair with alpha_m in place of alpha_k.
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -56,69 +87,35 @@ def assemble_step_matrices(
     n = 3 * k
     A = np.zeros((n, n))
     B = np.zeros((n, n))
+    Ad, Bd = _block_pair(p.alpha, p.beta, p.gamma, _couplings(p), sigma)
+    for j in range(k):
+        A[3 * j:3 * j + 3, 3 * j:3 * j + 3] = Ad[j]
+        B[3 * j:3 * j + 3, 3 * j:3 * j + 3] = Bd[j]
     inv = [1.0 / factorial(m) for m in range(n)]
     full = variant is Variant.FULL_TAYLOR
 
-    for j in range(1, k):  # leading blocks, implicit coupling c_j = 1
+    for j in range(1, k):  # B's coupling of leading block j to the blocks after it
         b = 3 * (j - 1)
         aj, bj, gj = p.alpha[j - 1], p.beta[j - 1], p.gamma[j - 1]
-        A[b, b] = 1.0
-        A[b, b + 2] = -bj
-        A[b + 1, b + 1] = 1.0
-        A[b + 1, b + 2] = -gj
-        A[b + 2, b] = sigma
-        A[b + 2, b + 2] = aj
+        # The predictors span columns b+3 .. end-1; ``own`` says whether
+        # the displacement and velocity rows carry their Taylor terms there.
         if full:
-            for m in range(b, n):
-                B[b, m] += inv[m - b]
-            for m in range(b + 1, n):
-                B[b + 1, m] += inv[m - b - 1]
-            for m in range(b + 2, n):
-                B[b, m] -= bj * inv[m - b - 2]
-                B[b + 1, m] -= gj * inv[m - b - 2]
-                B[b + 2, m] += (aj - 1.0) * inv[m - b - 2]
+            end, own = n, True
         elif j == 1:
-            end = n - 3
-            for m in range(0, end + 1):
-                B[0, m] += inv[m]
-            for m in range(1, end + 1):
-                B[1, m] += inv[m - 1]
-            for m in range(2, end + 1):
-                B[0, m] -= bj * inv[m - 2]
-                B[1, m] -= gj * inv[m - 2]
-                B[2, m] += (aj - 1.0) * inv[m - 2]
+            end, own = n - 2, True
             # The alpha-shifted acceleration keeps its full span, so the
             # truncated-residual tail survives in the implicit row.
-            for m in range(end + 1, n):
+            for m in range(end, n):
                 B[2, m] -= inv[m - 2]
         else:
-            B[b, b] = 1.0
-            B[b, b + 1] = 1.0
-            B[b, b + 2] = 0.5
-            B[b + 1, b + 1] = 1.0
-            B[b + 1, b + 2] = 1.0
-            for m in range(b + 2, b + 6):
-                B[b, m] -= bj * inv[m - b - 2]
-                B[b + 1, m] -= gj * inv[m - b - 2]
-                B[b + 2, m] += (aj - 1.0) * inv[m - b - 2]
-
-    # last block, implicit coupling c_k = alpha_f
-    b = 3 * (k - 1)
-    ak, bk, gk = p.alpha[k - 1], p.beta[k - 1], p.gamma[k - 1]
-    af = p.alpha_f
-    A[b, b] = 1.0
-    A[b, b + 2] = -bk
-    A[b + 1, b + 1] = 1.0
-    A[b + 1, b + 2] = -gk
-    A[b + 2, b] = sigma * af
-    A[b + 2, b + 2] = ak
-    B[b, b] = 1.0
-    B[b, b + 1] = 1.0
-    B[b, b + 2] = 0.5 - bk
-    B[b + 1, b + 1] = 1.0
-    B[b + 1, b + 2] = 1.0 - gk
-    B[b + 2, b] = -sigma * (1.0 - af)
-    B[b + 2, b + 2] = ak - 1.0
+            end, own = b + 6, False
+        for m in range(b + 3, end):
+            if own:
+                B[b, m] += inv[m - b]
+                B[b + 1, m] += inv[m - b - 1]
+            B[b, m] -= bj * inv[m - b - 2]
+            B[b + 1, m] -= gj * inv[m - b - 2]
+            B[b + 2, m] += (aj - 1.0) * inv[m - b - 2]
     return StepMatrices(k=k, sigma=float(sigma), A=A, B=B)
 
 
@@ -129,7 +126,7 @@ def _check_divisors(p: SchemeParameters, sigma: float) -> None:
         div = p.alpha[j - 1] + sigma * c * p.beta[j - 1]
         if abs(div) < 1e-14 * max(abs(p.alpha[j - 1]), abs(sigma), 1.0):
             raise SingularStepError(
-                f"block {j} divisor alpha_{j} + sigma*c*beta_{j} = {div}"
+                f"block {j} divisor alpha_{j} + sigma*c*beta_{j} = {div} at sigma = {sigma}"
             )
 
 
@@ -177,35 +174,23 @@ def unscale_state(v, tau: float, k: int, t: float = 0.0) -> ModalState:
     return ModalState(k=k, t=t, d=tuple(v[j] / tau**j for j in range(3 * k)))
 
 
-def diagonal_blocks(
-    p: SchemeParameters, sigma, variant: Variant = Variant.FULL_TAYLOR
-) -> np.ndarray:
+def diagonal_blocks(p: SchemeParameters, sigma) -> np.ndarray:
     """The k diagonal 3x3 blocks A_jj^-1 B_jj of G at every sigma, shape
     sigma.shape + (k, 3, 3); their spectra union to the spectrum of G.
 
-    A is block diagonal, so these need only A's and B's diagonal blocks.
-    Both are affine in sigma: A(s) = A(0) + s*(A(1) - A(0)) is the
-    assembly bit for bit, as every sigma entry is 0 at sigma = 0.  A
-    singular block raises amplification_matrix's error, with ``sigma``
-    set to the first singular sigma in C order.
+    A is block diagonal, so these need only the k pairs of
+    ``_block_pair``, which both variants share.  A singular block raises
+    amplification_matrix's error at the first singular sigma in C order.
     """
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma < 0.0):
         raise ValueError(f"sigma must be >= 0, got {sigma.min()}")
-    j = np.arange(p.k)
-    sm0, sm1 = (assemble_step_matrices(p, s, variant) for s in (0.0, 1.0))
-    A0, B0, A1, B1 = (M.reshape(p.k, 3, p.k, 3)[j, :, j, :] for M in (sm0.A, sm0.B, sm1.A, sm1.B))
-    s = sigma[..., None, None, None]
-    A = A0 + s * (A1 - A0)
+    A, B = _block_pair(p.alpha, p.beta, p.gamma, _couplings(p), sigma[..., None])
     try:
-        return np.linalg.solve(A, B0 + s * (B1 - B0))
+        return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
         # slogdet runs the solve's LU: its sign is 0 exactly where that failed.
         singular = (np.linalg.slogdet(A)[0] == 0.0).any(axis=-1).ravel()
         first = float(sigma.ravel()[singular.argmax()])
-        try:
-            _check_divisors(p, first)
-            raise SingularStepError(f"step matrix A is singular at sigma = {first}")
-        except SingularStepError as exc:
-            exc.sigma = first
-            raise
+        _check_divisors(p, first)
+        raise SingularStepError(f"step matrix A is singular at sigma = {first}")

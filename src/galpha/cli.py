@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 flag errors, 1 numerical errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -24,7 +23,7 @@ import numpy as np
 from . import convergence, spectral
 from .amplification import amplification_matrix, assemble_step_matrices
 from .params import DissipationSpec, derive
-from .stepper import OscillatorMode, StepConfig, Variant, integrate
+from .stepper import OscillatorMode, StepConfig, Variant, _csv_rows, integrate
 
 
 def _finite(text: str) -> float:
@@ -125,23 +124,26 @@ def _cmd_converge(args, p) -> str:
 
 
 def _write_matrix_csv(path: Path, M: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"c{j}" for j in range(M.shape[1])])
-        for row in M:
-            w.writerow([repr(float(x)) for x in row])
+    path.write_text(_csv_rows([[f"c{j}" for j in range(M.shape[1])], *M.tolist()], str), newline="")
 
 
 def _cmd_spectrum(args, p) -> str:
     spec = spectral.sweep_spectrum(p, args.sigma_min, args.sigma_max, args.points)
+    k = p.k
     path = _outfile(args, ".csv")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sigma", "block", "idx", "re", "im", "abs"])
-        mags = np.abs(spec.eigs)
-        for (i, block, idx), z in np.ndenumerate(spec.eigs):
-            w.writerow([repr(float(spec.sigma[i])), block, idx, repr(float(z.real)),
-                        repr(float(z.imag)), repr(float(mags[i, block, idx]))])
+        fh.write(_csv_rows([["sigma", "block", "idx", "re", "im", "abs"]], str))
+        for lo in range(0, args.points, 256):  # 256 sigmas at a time keep memory flat
+            eigs = spec.eigs[lo:lo + 256]
+            n = len(eigs)
+            fh.write(_csv_rows(zip(
+                np.repeat(spec.sigma[lo:lo + 256], 3 * k).tolist(),
+                np.tile(np.repeat(np.arange(k), 3), n).tolist(),
+                np.tile(np.arange(3), n * k).tolist(),
+                eigs.real.ravel().tolist(),
+                eigs.imag.ravel().tolist(),
+                np.abs(eigs).ravel().tolist(),
+            )))
     extra = ""
     if args.dump_matrices_sigma is not None:
         sm = assemble_step_matrices(p, args.dump_matrices_sigma)
@@ -161,21 +163,12 @@ def _cmd_stability_map(args, _) -> str:
     fixed = _parse_fix(args.fix)
     sweep = spectral.SweepConfig(n_points=args.sigma_points)
     smap = spectral.stability_map(args.k, fixed, args.vary[0], args.vary[1], sweep)
+    rows = [["x_name", "x", "y_name", "y", "max_radius", "stable"]] + [
+        [smap.x_axis.name, pt.x, smap.y_axis.name, pt.y, pt.max_radius, int(pt.stable)]
+        for pt in smap.points
+    ]
     path = _outfile(args, ".csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x_name", "x", "y_name", "y", "max_radius", "stable"])
-        for pt in smap.points:
-            w.writerow(
-                [
-                    smap.x_axis.name,
-                    repr(pt.x),
-                    smap.y_axis.name,
-                    repr(pt.y),
-                    repr(pt.max_radius),
-                    int(pt.stable),
-                ]
-            )
+    path.write_text(_csv_rows(rows, str), newline="")
     n_stable = sum(pt.stable for pt in smap.points)
     return (
         f"subcommand=stability-map k={args.k} points={len(smap.points)} "

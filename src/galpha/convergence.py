@@ -9,7 +9,6 @@ few refinements) and counted, not silently dropped.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import cos, sin, sqrt
 
@@ -18,7 +17,7 @@ import numpy as np
 from .amplification import diagonal_blocks
 from .params import SchemeParameters
 from .spectral import char_coeffs_3x3
-from .stepper import OscillatorMode, StepConfig, Variant, integrate
+from .stepper import OscillatorMode, StepConfig, Variant, _csv_rows, integrate
 
 ROUNDOFF_FLOOR = 1e-12
 
@@ -46,19 +45,17 @@ class ConvergenceStudy:
     discarded: int
 
     def write_csv(self, fh) -> None:
-        w = csv.writer(fh)
         rho = list(self.rho) if self.rho is not None else []
-        w.writerow(
+        header = (
             ["k", "variant"]
             + [f"rho{i + 1}" for i in range(len(rho))]
             + ["n_steps", "tau", "error_u", "error_v"]
         )
-        for r in self.rows:
-            w.writerow(
-                [self.k, self.variant.value]
-                + [repr(x) for x in rho]
-                + [r.n_steps, repr(r.tau), repr(r.error_u), repr(r.error_v)]
-            )
+        rows = [
+            [self.k, self.variant.value, *rho, r.n_steps, r.tau, r.error_u, r.error_v]
+            for r in self.rows
+        ]
+        fh.write(_csv_rows([header, *rows], str))
 
     def summary_dict(self) -> dict:
         return {
@@ -155,7 +152,6 @@ def verify_recurrence(
     sigma: float,
     component: int,
     n_terms: int = 50,
-    variant: Variant = Variant.FULL_TAYLOR,
 ) -> float:
     """Max relative residual of the 4-term invariant recurrence
 
@@ -169,7 +165,7 @@ def verify_recurrence(
     k = p.k
     if not 0 <= component < 3 * k:
         raise ValueError(f"component must be in [0, {3 * k})")
-    blk = diagonal_blocks(p, sigma, variant)[component // 3]
+    blk = diagonal_blocks(p, sigma)[component // 3]
     idx = component % 3
     c = char_coeffs_3x3(blk)
     vec = np.ones(3)

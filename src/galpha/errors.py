@@ -6,11 +6,8 @@ class SingularStepError(ArithmeticError):
     singular or numerically indistinguishable from zero.
 
     The message names the offending divisor so CLI users can see which
-    block and parameter combination broke the solve.  A solve over many
-    sigmas sets ``sigma`` to the first singular one.
+    block and parameter combination broke the solve.
     """
-
-    sigma: float | None = None
 
 
 class UnsupportedParametersError(ValueError):

@@ -26,6 +26,20 @@ from .stepper import OscillatorMode, StepConfig, _csv_rows, _StepPlan, init_stat
 from .stepper import integrate  # noqa: F401
 
 
+def _symmetric(K) -> np.ndarray:
+    """K as a new float array, checked to be square, finite and
+    symmetric to 1e-12 of its largest entry."""
+    K = np.array(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError("K must be a square matrix")
+    if not np.isfinite(K).all():
+        raise ValueError("K must be finite")
+    scale = np.max(np.abs(K)) or 1.0
+    if np.max(np.abs(K - K.T)) > 1e-12 * scale:
+        raise ValueError("K is not symmetric")
+    return K
+
+
 @dataclass(frozen=True)
 class SymmetricSystem:
     K: np.ndarray
@@ -33,17 +47,14 @@ class SymmetricSystem:
     v0: np.ndarray
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
+        K = _symmetric(self.K)
         u0 = np.asarray(self.u0, dtype=float)
         v0 = np.asarray(self.v0, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError("K must be a square matrix")
         n = K.shape[0]
         if u0.shape != (n,) or v0.shape != (n,):
             raise ValueError("u0 and v0 must be length-n vectors")
-        scale = np.max(np.abs(K)) or 1.0
-        if np.max(np.abs(K - K.T)) > 1e-12 * scale:
-            raise ValueError("K is not symmetric")
+        if not (np.isfinite(u0).all() and np.isfinite(v0).all()):
+            raise ValueError("u0 and v0 must be finite")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "v0", v0)
@@ -109,12 +120,7 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 def jacobi_eig(K, tol: float = 1e-12, max_sweeps: int = 100) -> ModalDecomposition:
     """Round-robin cyclic Jacobi sweeps until the off-diagonal Frobenius
     norm drops below tol * ||K||_F.  Adequate and robust at desk scale."""
-    A = np.array(K, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("K must be a square matrix")
-    scale = np.max(np.abs(A)) or 1.0
-    if np.max(np.abs(A - A.T)) > 1e-12 * scale:
-        raise ValueError("K is not symmetric")
+    A = _symmetric(K)
     n = A.shape[0]
     Q = np.eye(n)
     norm = np.linalg.norm(A, "fro") or 1.0

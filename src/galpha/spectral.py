@@ -1,11 +1,12 @@
 """Eigenvalue analysis of the amplification matrix, batched over sigma.
 
 Because G is block upper triangular with 3x3 diagonal blocks, its
-spectrum is the union of the k block spectra.  ``eigvals`` takes the
-diagonal blocks at every sigma from ``amplification.diagonal_blocks``
-in one (..., k, 3, 3) stack and all their eigenvalues in a single
-``np.linalg.eigvals`` call, then post-processes each block's three
-roots as array operations:
+spectrum is the union of the k block spectra.  Each block is the pair
+``amplification._block_pair``, which both variants share, so nothing
+here takes a variant.  ``eigvals`` takes the diagonal blocks at every
+sigma from ``amplification.diagonal_blocks`` in one (..., k, 3, 3)
+stack and all their eigenvalues in a single ``np.linalg.eigvals`` call,
+then post-processes each block's three roots as array operations:
 
 * A fully clustered triple is collapsed onto the real axis.  In the
   stiff limit the last block tends to a triple root at rho_k, and the
@@ -23,6 +24,13 @@ Results are arrays with sigma's shape in front: ``eigvals`` gives
 (..., k, 3) complex values, ``spectral_radius`` one float per sigma, and
 ``sweep_spectrum`` a ``Spectrum`` of the three arrays.
 
+A stability map is one batched pass as well: ``stability_map`` builds
+each grid point's coefficients with ``from_alphas``, stacks the block
+pairs of every (point, sigma) pair, and makes one solve -> eigvals ->
+radius pass per slab of at most MAP_SLAB_BLOCKS blocks.  A point with a
+singular block gets radius inf instead of stopping the pass.
+``classify_stability`` is the one-point case of the same pass.
+
 Sigma convention: sigma = lambda*tau^2 >= 0 everywhere; sweeps use a
 positive log axis.
 """
@@ -34,9 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SchemeParameters, from_alphas
-from .errors import SingularStepError, UnsupportedParametersError
-from .amplification import diagonal_blocks
-from .stepper import Variant
+from .errors import UnsupportedParametersError
+from .amplification import _block_pair, _couplings, diagonal_blocks
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,11 @@ class Spectrum:
     radius: np.ndarray
 
 
+# A sweep is solved as one array, so its memory grows with the point
+# count: at ~420 B per 3x3 block, 1e5 sigmas peak near 42 MB per block.
+MAX_SWEEP_POINTS = 100_000
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     sigma_min: float = 1e-6
@@ -67,8 +79,8 @@ class SweepConfig:
     def grid(self) -> np.ndarray:
         if not (0.0 < self.sigma_min < self.sigma_max):
             raise ValueError("need 0 < sigma_min < sigma_max")
-        if self.n_points < 2:
-            raise ValueError("need at least 2 sweep points")
+        if not 2 <= self.n_points <= MAX_SWEEP_POINTS:
+            raise ValueError(f"need 2 to {MAX_SWEEP_POINTS} sweep points, got {self.n_points}")
         return np.logspace(
             np.log10(self.sigma_min), np.log10(self.sigma_max), self.n_points
         )
@@ -141,25 +153,31 @@ FLATTEN_TOL = 1e-3
 CLUSTER_TOL = 1e-2
 
 
-def eigvals(
-    p: SchemeParameters, sigma, variant: Variant = Variant.FULL_TAYLOR
-) -> np.ndarray:
+def _settle(r) -> np.ndarray:
+    """Raw block eigenvalues (..., 3) with clustered triples collapsed
+    and near-real pairs flattened (see the module docstring); unsorted."""
+    r = r.astype(complex)
+    mag = np.abs(r)
+    spread = np.abs(r - np.roll(r, 1, axis=-1)).max(axis=-1)
+    clustered = spread < CLUSTER_TOL * np.maximum(1.0, mag.max(axis=-1))
+    # Pairs with |Im| <= FLATTEN_TOL * max(1, |z|) become two real values
+    # of the same magnitude, signed by the real part.
+    near_real = (r.imag != 0.0) & (np.abs(r.imag) <= FLATTEN_TOL * np.maximum(1.0, mag))
+    z = np.where(near_real, np.where(r.real >= 0.0, mag, -mag), r)
+    # A clustered triple becomes three real values of magnitude
+    # |r1*r2*r3|^(1/3), signed by the real trace.  The product is formed
+    # for clustered triples only: an unclustered one can overflow it.
+    t = r[clustered]
+    collapsed = np.abs(t[:, 0] * t[:, 1] * t[:, 2]) ** (1.0 / 3.0)
+    z[clustered] = np.where(t.real.sum(axis=-1) >= 0.0, collapsed, -collapsed)[:, None]
+    return z
+
+
+def eigvals(p: SchemeParameters, sigma) -> np.ndarray:
     """Spectrum of G at every sigma as the union of the k block spectra,
     shape sigma.shape + (k, 3).  Each block's three values are sorted by
     descending magnitude, ties by descending real, then imaginary part."""
-    r = np.linalg.eigvals(diagonal_blocks(p, sigma, variant)).astype(complex)
-    mag = np.abs(r)
-    # A clustered triple becomes three real values of magnitude
-    # |r1*r2*r3|^(1/3), signed by the real trace.
-    spread = np.abs(r - np.roll(r, 1, axis=-1)).max(axis=-1)
-    clustered = spread < CLUSTER_TOL * np.maximum(1.0, mag.max(axis=-1))
-    collapsed = np.abs(r[..., 0] * r[..., 1] * r[..., 2]) ** (1.0 / 3.0)
-    collapsed = np.where(r.real.sum(axis=-1) >= 0.0, collapsed, -collapsed)
-    # Otherwise pairs with |Im| <= FLATTEN_TOL * max(1, |z|) become two
-    # real values of the same magnitude, signed by the real part.
-    near_real = (r.imag != 0.0) & (np.abs(r.imag) <= FLATTEN_TOL * np.maximum(1.0, mag))
-    flat = np.where(near_real, np.where(r.real >= 0.0, mag, -mag), r)
-    z = np.where(clustered[..., None], collapsed[..., None], flat)
+    z = _settle(np.linalg.eigvals(diagonal_blocks(p, sigma)))
     order = np.lexsort((-z.imag, -z.real, -np.abs(z)), axis=-1)
     return np.take_along_axis(z, order, axis=-1)
 
@@ -190,29 +208,53 @@ def limit_eigs_sigma_inf(p: SchemeParameters) -> list[float]:
     return out
 
 
-def spectral_radius(
-    p: SchemeParameters, sigma, variant: Variant = Variant.FULL_TAYLOR
-):
+def spectral_radius(p: SchemeParameters, sigma):
     """Largest eigenvalue magnitude of G at every sigma (sigma's shape)."""
-    return np.abs(eigvals(p, sigma, variant)).max(axis=(-2, -1))
+    return np.abs(eigvals(p, sigma)).max(axis=(-2, -1))
 
 
 def sweep_spectrum(
-    p: SchemeParameters,
-    sigma_min: float,
-    sigma_max: float,
-    n_points: int,
-    variant: Variant = Variant.FULL_TAYLOR,
+    p: SchemeParameters, sigma_min: float, sigma_max: float, n_points: int
 ) -> Spectrum:
     sigma = SweepConfig(sigma_min, sigma_max, n_points).grid()
-    eigs = eigvals(p, sigma, variant)
+    eigs = eigvals(p, sigma)
     return Spectrum(sigma=sigma, eigs=eigs, radius=np.abs(eigs).max(axis=(-2, -1)))
 
 
+# Blocks per slab of a batched stability map.  A block peaks at ~420 B
+# (its pair, LU, G and eigenvalues), so a slab stays near 28 MB however
+# large the map or its sweep is.
+MAP_SLAB_BLOCKS = 1 << 16
+
+
+def _coefficients(p: SchemeParameters) -> np.ndarray:
+    """Rows alpha, beta, gamma and the couplings c_j of one scheme, (4, k)."""
+    return np.array([p.alpha, p.beta, p.gamma, _couplings(p)])
+
+
+def _radii(coefficients, sigma) -> np.ndarray:
+    """Spectral radius of G for each (scheme, sigma) pair, from one
+    solve -> eigvals pass over the pairs' diagonal blocks: coefficients
+    (..., 4, k) as ``_coefficients`` stacks them, broadcast against
+    sigma (...).  A pair with a block whose LU meets a zero pivot (where
+    ``diagonal_blocks`` raises) or that is not finite gets radius inf
+    instead of failing the pass."""
+    alpha, beta, gamma, c = np.moveaxis(coefficients, -2, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # extreme schemes, marked below
+        A, B = _block_pair(alpha, beta, gamma, c, sigma[..., None])
+        sign, logdet = np.linalg.slogdet(A)
+    bad = ((sign == 0.0) | ~np.isfinite(logdet) | ~np.isfinite(B).all(axis=(-2, -1))).any(axis=-1)
+    A[bad], B[bad] = np.eye(3), 0.0
+    G = np.linalg.solve(A, B)
+    bad |= ~np.isfinite(G).all(axis=(-3, -2, -1))
+    G[bad] = 0.0
+    radius = np.abs(_settle(np.linalg.eigvals(G))).max(axis=(-2, -1))
+    radius[bad] = np.inf
+    return radius
+
+
 def classify_stability(
-    p: SchemeParameters,
-    sweep: SweepConfig = SweepConfig(),
-    variant: Variant = Variant.FULL_TAYLOR,
+    p: SchemeParameters, sweep: SweepConfig = SweepConfig()
 ) -> tuple[bool, float, float]:
     """(stable, max radius, argmax sigma) over the sweep grid.
 
@@ -220,25 +262,15 @@ def classify_stability(
     any grid point counts as unstable, reported at the first such sigma.
     """
     grid = sweep.grid()
-    try:
-        radius = spectral_radius(p, grid, variant)
-    except SingularStepError as exc:
-        return (False, float("inf"), exc.sigma)
+    radius = _radii(_coefficients(p), grid)
     i = int(radius.argmax())
     return (bool(radius[i] <= 1.0 + STABILITY_TOL), float(radius[i]), float(grid[i]))
 
 
-def _axis_value(name: str, fixed: dict, ax_vals: dict) -> float:
-    if name in ax_vals:
-        return ax_vals[name]
-    if name in fixed:
-        return float(fixed[name])
-    raise ValueError(f"parameter {name} is neither fixed nor varied")
-
-
 def check_map_names(k: int, fixed: dict, x_axis: ParameterAxis, y_axis: ParameterAxis) -> None:
-    """Reject a map whose axes coincide, or whose axis or fixed names are
-    not among "alpha1".."alpha{k}" and "alpha_f"."""
+    """Reject a map whose axes coincide, whose axis or fixed names are
+    not among "alpha1".."alpha{k}" and "alpha_f", or that leaves one of
+    them neither fixed nor varied."""
     if x_axis.name == y_axis.name:
         raise ValueError("axes must vary distinct parameters")
     names = [f"alpha{i + 1}" for i in range(k)] + ["alpha_f"]
@@ -248,6 +280,9 @@ def check_map_names(k: int, fixed: dict, x_axis: ParameterAxis, y_axis: Paramete
     for name in fixed:
         if name not in names:
             raise ValueError(f"unknown fixed parameter {name!r}")
+    for name in names:
+        if name not in fixed and name not in (x_axis.name, y_axis.name):
+            raise ValueError(f"parameter {name} is neither fixed nor varied")
 
 
 def stability_map(
@@ -261,20 +296,32 @@ def stability_map(
 
     Parameter names are "alpha1".."alpha{k}" and "alpha_f"; gamma and
     beta are recomputed from the order-condition laws at every point.
+    The radii come from ``_radii`` in slabs of at most MAP_SLAB_BLOCKS
+    blocks (at least one (point, sigma) pair each).
     """
     check_map_names(k, fixed, x_axis, y_axis)
-    points = []
-    for y in np.linspace(y_axis.lo, y_axis.hi, y_axis.n):
-        for x in np.linspace(x_axis.lo, x_axis.hi, x_axis.n):
-            ax_vals = {x_axis.name: float(x), y_axis.name: float(y)}
-            alpha = [_axis_value(f"alpha{i + 1}", fixed, ax_vals) for i in range(k)]
-            alpha_f = _axis_value("alpha_f", fixed, ax_vals)
+    grid = sweep.grid()
+    vals = {name: float(v) for name, v in fixed.items()}
+    coords, coefficients, at = [], [], []
+    for y in np.linspace(y_axis.lo, y_axis.hi, y_axis.n).tolist():
+        for x in np.linspace(x_axis.lo, x_axis.hi, x_axis.n).tolist():
+            vals[x_axis.name], vals[y_axis.name] = x, y
+            coords.append((x, y))
             try:
-                p = from_alphas(k, alpha, alpha_f)
-                stable, max_r, _ = classify_stability(p, sweep)
-            except (ArithmeticError, np.linalg.LinAlgError):
-                stable, max_r = False, float("inf")
-            points.append(StabilityMapPoint(float(x), float(y), max_r, stable))
-    return StabilityMap(
-        k=k, x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), points=tuple(points)
-    )
+                p = from_alphas(k, [vals[f"alpha{i + 1}"] for i in range(k)], vals["alpha_f"])
+            except OverflowError:  # the beta law overflows past |alpha| ~ 1e154
+                continue
+            coefficients.append(_coefficients(p))
+            at.append(len(coords) - 1)
+    # one radius per (point, sigma) pair, MAP_SLAB_BLOCKS // k pairs at a time
+    coefficients = np.array(coefficients).reshape(-1, 4, k)
+    pair_radius = np.empty(len(at) * grid.size)
+    step = max(1, MAP_SLAB_BLOCKS // k)
+    for lo in range(0, pair_radius.size, step):
+        i = np.arange(lo, min(lo + step, pair_radius.size))
+        pair_radius[i] = _radii(coefficients[i // grid.size], grid[i % grid.size])
+    radius = np.full(len(coords), np.inf)
+    radius[at] = pair_radius.reshape(len(at), grid.size).max(axis=1)
+    stable = (radius <= 1.0 + STABILITY_TOL).tolist()
+    points = tuple(StabilityMapPoint(x, y, r, s) for (x, y), r, s in zip(coords, radius.tolist(), stable))
+    return StabilityMap(k=k, x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), points=points)

@@ -15,6 +15,7 @@ from galpha import (
     scale_state,
     unscale_state,
 )
+from galpha.amplification import _block_pair
 from galpha.stepper import OscillatorMode
 
 
@@ -149,13 +150,37 @@ class TestAmplification:
             np.sort(np.abs(full)), abs=1e-10
         )
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_variants_share_the_block_pair(self, k):
+        # The variants differ only above the diagonal, so every spectral
+        # result is variant-free.
+        p = derive(DissipationSpec(k, (0.3, 0.6, 0.9, 0.1)[:k]))
+        c = [1.0] * (k - 1) + [p.alpha_f]
+        for sigma in (0.0, 1e-6, 1.0, 1e8):
+            A, B = _block_pair(p.alpha, p.beta, p.gamma, c, sigma)
+            for variant in Variant:
+                sm = assemble_step_matrices(p, sigma, variant)
+                for j in range(k):
+                    d = slice(3 * j, 3 * j + 3)
+                    assert np.array_equal(sm.A[d, d], A[j])
+                    assert np.array_equal(sm.B[d, d], B[j])
+
+    def test_block_pair_broadcasts(self):
+        alpha, beta, gamma = np.array([1.5, 2.0]), np.array([0.3, 0.5]), np.array([0.9, 1.1])
+        sigma = np.array([[0.5], [2.0], [8.0]])
+        A, B = _block_pair(alpha, beta, gamma, 0.7, sigma)
+        assert A.shape == B.shape == (3, 2, 3, 3)
+        for i, j in np.ndindex(3, 2):
+            a, b = _block_pair(alpha[j], beta[j], gamma[j], 0.7, sigma[i, 0])
+            assert np.array_equal(A[i, j], a) and np.array_equal(B[i, j], b)
+
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_diagonal_blocks_match_the_dense_solve(self, k, variant):
-        # Guards the affine-in-sigma assembly of the A and B blocks.
+        # Either variant's dense solve has the same diagonal blocks.
         p = derive(DissipationSpec(k, (0.3, 0.6, 0.9, 0.1)[:k]))
         sigmas = [0.0, 1e-6, 1.0, 1e8]
-        blocks = diagonal_blocks(p, sigmas, variant)
+        blocks = diagonal_blocks(p, sigmas)
         assert blocks.shape == (4, k, 3, 3)
         for sigma, got in zip(sigmas, blocks):
             G = amplification_matrix(p, sigma, variant).G

@@ -122,6 +122,7 @@ class TestStabilityMap:
         with open(summary_file(out)) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x_name", "x", "y_name", "y", "max_radius", "stable"]
+        assert rows[1][0] == "alpha_f" and rows[1][2] == "alpha2"
         assert len(rows) == 10
         # entire sampled region satisfies 1/2 <= alpha_f <= alpha_2
         assert all(r[5] == "1" for r in rows[1:])
@@ -193,6 +194,7 @@ class TestFlagValidation:
 
     @pytest.mark.parametrize("sigma_min, sigma_max, points", [
         ("0", "1e3", "5"), ("1e3", "1e3", "5"), ("1e3", "1e-3", "5"), ("1e-3", "1e3", "1"),
+        ("1e-3", "1e3", "100001"),
     ])
     def test_out_of_domain_sweep_exits_2(self, tmp_path, capsys, sigma_min, sigma_max, points):
         code, out, _ = run_cli(
@@ -209,6 +211,9 @@ class TestFlagValidation:
         ("--fix", "alpha1=nan", "--vary", "alpha2:1:2:3", "--vary", "alpha_f:0.5:1:3"),
         ("--fix", "alpha1=2", "--vary", "alpha_f:nan:1:3", "--vary", "alpha2:1:2:3"),
         ("--fix", "alpha1=2,bogus=5", "--vary", "alpha_f:0.5:1:3", "--vary", "alpha2:1:2:3"),
+        ("--vary", "alpha_f:0.5:1:3", "--vary", "alpha2:1:2:3"),
+        ("--fix", "alpha1=2", "--vary", "alpha_f:0.5:1:3", "--vary", "alpha2:1:2:3",
+         "--sigma-points", "100001"),
     ])
     def test_out_of_domain_map_exits_2(self, tmp_path, capsys, flags):
         code, out, _ = run_cli(

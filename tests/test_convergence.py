@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -7,7 +8,6 @@ import pytest
 from galpha import (
     DissipationSpec,
     OscillatorMode,
-    Variant,
     derive,
     exact_solution,
     fit_order,
@@ -92,6 +92,19 @@ class TestRunConvergence:
         assert summary["variant"] == "full"
         assert summary["discarded"] == 0
 
+    def test_csv_matches_csv_writer(self):
+        p = derive(DissipationSpec(2, (0.5, 0.25)))
+        study = run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [8, 16, 32])
+        want = io.StringIO()
+        w = csv.writer(want)
+        w.writerow(["k", "variant", "rho1", "rho2", "n_steps", "tau", "error_u", "error_v"])
+        for r in study.rows:
+            w.writerow([2, "full", repr(0.5), repr(0.25), r.n_steps, repr(r.tau),
+                        repr(r.error_u), repr(r.error_v)])
+        got = io.StringIO()
+        study.write_csv(got)
+        assert got.getvalue() == want.getvalue()
+
 
 class TestVerifyRecurrence:
     def test_residual_small_across_samples(self):
@@ -102,11 +115,6 @@ class TestVerifyRecurrence:
             sigma = 10.0 ** rng.uniform(-6, 4)
             for j in range(k):
                 assert verify_recurrence(p, sigma, 3 * j) <= 1e-9
-
-    def test_printed_variant_also_satisfies_recurrence(self):
-        p = derive(DissipationSpec(3, (0.5, 0.5, 0.5)))
-        res = verify_recurrence(p, 2.0, 0, variant=Variant.AS_PRINTED)
-        assert res <= 1e-9
 
     def test_input_validation(self):
         p = derive(DissipationSpec(1, (0.5,)))

@@ -65,6 +65,23 @@ class TestSymmetricSystem:
         with pytest.raises(ValueError):
             SymmetricSystem(K=K_2DOF, u0=[1.0], v0=[0.0, 0.0])
 
+    @pytest.mark.parametrize("K, u0, v0", [
+        ([[2.0, math.nan], [math.nan, 2.0]], [1.0, 0.0], [0.0, 0.0]),
+        ([[math.inf, -1.0], [-1.0, 2.0]], [1.0, 0.0], [0.0, 0.0]),
+        (K_2DOF, [math.inf, 0.0], [0.0, 0.0]),
+        (K_2DOF, [1.0, 0.0], [0.0, math.nan]),
+    ])
+    def test_rejects_nonfinite_input(self, K, u0, v0):
+        # a NaN K once decomposed to Q = I and integrated the wrong system
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricSystem(K=K, u0=u0, v0=v0)
+
+    def test_load_system_rejects_nan_stiffness(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text('{"K": [[2.0, NaN], [NaN, 2.0]], "u0": [1.0, 0.0], "v0": [0.0, 0.0]}')
+        with pytest.raises(ValueError, match="finite"):
+            load_system(path)
+
 
 class TestJacobiEig:
     def test_known_2x2(self):
@@ -131,6 +148,10 @@ class TestJacobiEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eig([[1.0, 2.0], [0.0, 1.0]])
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_eig([[2.0, math.nan], [math.nan, 2.0]])
 
 
 class TestLoadSystem:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from galpha import spectral
 from galpha import (
     DissipationSpec,
     ParameterAxis,
@@ -63,12 +64,19 @@ class TestEigvals:
     def test_batched_equals_stacked_scalar_calls(self, k, variant):
         p = derive(DissipationSpec(k, (0.0, 0.5, 1.0)[:k]))
         grid = np.concatenate([[0.0], SweepConfig(1e-6, 1e10, 80).grid()])
-        batched = eigvals(p, grid, variant)
-        stacked = np.stack([eigvals(p, float(s), variant) for s in grid])
+        batched = eigvals(p, grid)
+        stacked = np.stack([eigvals(p, float(s)) for s in grid])
         assert batched.shape == (grid.size, k, 3)
         assert np.array_equal(batched, stacked)
-        radius = spectral_radius(p, grid, variant)
-        assert np.array_equal(radius, [spectral_radius(p, float(s), variant) for s in grid])
+        radius = spectral_radius(p, grid)
+        assert np.array_equal(radius, [spectral_radius(p, float(s)) for s in grid])
+        # eigvals takes no variant: settling the eigenvalues of either
+        # variant's dense G diagonal blocks gives the same magnitudes
+        for s, es in zip(grid, batched):
+            G = amplification_matrix(p, float(s), variant).G
+            blocks = np.stack([G[3 * j:3 * j + 3, 3 * j:3 * j + 3] for j in range(k)])
+            dense = np.sort(np.abs(spectral._settle(np.linalg.eigvals(blocks))), axis=-1)
+            assert np.sort(np.abs(es), axis=-1) == pytest.approx(dense, rel=1e-9, abs=1e-14)
 
     def test_singular_sigma_names_the_divisor(self):
         # alpha_1 = 0 gives beta_1 = 0: block 1's divisor vanishes at every sigma
@@ -79,9 +87,8 @@ class TestEigvals:
     def test_singular_sigma_in_a_batch_is_the_first_one(self):
         # alpha_m = -1, beta = 1/16, alpha_f = 1/2: det A = 0 at sigma = 32 only
         p = from_alphas(1, (-1.0,), 0.5)
-        with pytest.raises(SingularStepError, match="divisor") as err:
+        with pytest.raises(SingularStepError, match="divisor .* at sigma = 32.0"):
             eigvals(p, [1.0, 32.0, 64.0])
-        assert err.value.sigma == 32.0
 
 
 class TestLimits:
@@ -141,6 +148,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(n_points=1).grid()
 
+    def test_point_cap_is_checked_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(np, "logspace", lambda *a, **kw: pytest.fail("grid was allocated"))
+        for n in (spectral.MAX_SWEEP_POINTS + 1, 10**8):
+            with pytest.raises(ValueError, match="sweep points"):
+                SweepConfig(n_points=n).grid()
+
     def test_radius_field_consistent(self):
         p = derive(DissipationSpec(1, (0.2,)))
         spec = sweep_spectrum(p, 1e-3, 1e3, 5)
@@ -193,6 +206,55 @@ class TestStabilityMap:
             stability_map(2, {"alpha1": 2.0, "bogus": 5.0}, ax, ParameterAxis("alpha2", 0, 1, 3))
         with pytest.raises(ValueError):
             ParameterAxis("alpha1", 0, 1, 1)
-        with pytest.raises(ValueError):
-            # alpha2 neither fixed nor varied
+        with pytest.raises(ValueError, match="neither fixed nor varied"):
             stability_map(2, {}, ax, ParameterAxis("alpha1", 0, 1, 3))
+
+    def test_points_equal_one_point_classify(self):
+        x_axis, y_axis = ParameterAxis("alpha_f", 0.0, 2.0, 6), ParameterAxis("alpha1", 0.0, 2.0, 5)
+        sweep = SweepConfig(n_points=9)
+        smap = stability_map(2, {"alpha2": 1.2}, x_axis, y_axis, sweep)
+        for pt in smap.points:
+            stable, max_r, _ = classify_stability(from_alphas(2, (pt.y, 1.2), pt.x), sweep)
+            assert (pt.stable, pt.max_radius) == (stable, max_r)
+        assert sum(pt.max_radius == np.inf for pt in smap.points) == 6  # the alpha1 = 0 row
+
+    def test_singular_and_huge_radius_points_in_one_batch(self):
+        # alpha1 = 0 is singular; alpha1 ~ 1e-299 gives a block eigenvalue
+        # near -1/alpha1, whose triple product once overflowed (a warning,
+        # so an error under this suite's filter).
+        sweep = SweepConfig(n_points=9)
+        smap = stability_map(
+            2, {"alpha2": 1.3}, ParameterAxis("alpha1", 0.0, 1e-299, 3),
+            ParameterAxis("alpha_f", 0.6, 1.0, 3), sweep,
+        )
+        grid = sweep.grid()
+        for pt in smap.points:
+            assert not pt.stable
+            if pt.x == 0.0:
+                assert pt.max_radius == np.inf
+                continue
+            p = from_alphas(2, (pt.x, 1.3), pt.y)
+            assert pt.max_radius == spectral_radius(p, grid).max()
+            dense = max(np.abs(np.linalg.eigvals(amplification_matrix(p, s).G)).max() for s in grid)
+            assert pt.max_radius == pytest.approx(dense, rel=1e-7)
+            assert pt.max_radius > 1e298
+
+    def test_overflowing_coefficients_are_unstable_points(self):
+        # beta = ((2*gamma + 1)/4)^2 overflows a float past |alpha| ~ 1e154
+        smap = stability_map(
+            2, {"alpha2": 1.3}, ParameterAxis("alpha1", 1.0, 1e200, 3),
+            ParameterAxis("alpha_f", 0.6, 1.0, 2), SweepConfig(n_points=5),
+        )
+        assert [pt.max_radius == np.inf for pt in smap.points] == [False, True, True] * 2
+        assert not any(pt.stable for pt in smap.points[1:3])
+
+    def test_one_pair_per_slab_is_bit_identical(self, monkeypatch):
+        args = (2, {"alpha2": 1.5}, ParameterAxis("alpha1", 0.0, 2.5, 7),
+                ParameterAxis("alpha_f", 0.0, 2.0, 6), SweepConfig(n_points=11))
+        whole = stability_map(*args)
+        monkeypatch.setattr(spectral, "MAP_SLAB_BLOCKS", 1)
+        sliced = stability_map(*args)
+        assert [pt.stable for pt in sliced.points] == [pt.stable for pt in whole.points]
+        assert np.array_equal([pt.max_radius for pt in sliced.points],
+                              [pt.max_radius for pt in whole.points])
+        assert np.isinf([pt.max_radius for pt in whole.points]).sum() == 6

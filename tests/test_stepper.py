@@ -21,7 +21,7 @@ from galpha import (
     step,
     unscale_state,
 )
-from galpha.stepper import Trajectory, _StepPlan
+from galpha.stepper import Trajectory, _csv_rows, _StepPlan
 
 
 def rho_spec(*rho):
@@ -218,6 +218,15 @@ def test_trajectory_csv_matches_csv_writer():
     got = io.StringIO()
     traj.write_csv(got)
     assert got.getvalue() == want.getvalue()
+
+
+def test_csv_rows_write_text_cells_as_they_are():
+    rows = [["x_name", "x", "stable"], ["alpha1", -0.0, 1], ["alpha_f", 1e-300, 0], ["full", 0.1, 7]]
+    want = io.StringIO()
+    w = csv.writer(want)
+    for row in rows:
+        w.writerow([repr(c) if isinstance(c, float) else c for c in row])
+    assert _csv_rows(rows, str) == want.getvalue()
 
 
 class TestArrayPlan:
