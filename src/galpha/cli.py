@@ -98,7 +98,7 @@ def _cmd_simulate(args, p) -> str:
     path = _outfile(args, ".csv")
     with open(path, "w", newline="") as fh:
         traj.write_csv(fh)
-    final_u = traj.states[-1].d[0]
+    final_u = traj.rows[-1][1]
     return (
         f"subcommand=simulate k={args.k} steps={args.steps} "
         f"final_u={final_u!r} file={path}"
@@ -272,6 +272,8 @@ def run(argv) -> int:
             convergence.refinement(args.T, args.steps)
         elif args.subcommand == "spectrum":
             spectral.SweepConfig(args.sigma_min, args.sigma_max, args.points).grid()
+            if args.dump_matrices_sigma is not None and args.dump_matrices_sigma < 0.0:
+                raise ValueError(f"--dump-matrices-sigma must be >= 0, got {args.dump_matrices_sigma}")
         elif args.subcommand == "stability-map":
             spectral.SweepConfig(n_points=args.sigma_points).grid()
             fixed = _parse_fix(args.fix)

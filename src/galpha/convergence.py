@@ -120,9 +120,9 @@ def run_convergence(
     rows = []
     for n, tau in grid:
         cfg = StepConfig(tau=tau, variant=variant)
-        traj = integrate(p, mode, cfg, u0, v0, n)
-        eu = abs(traj.states[-1].d[0] - ue)
-        ev = abs(traj.states[-1].d[1] - ve)
+        _, u, v, *_ = integrate(p, mode, cfg, u0, v0, n).rows[-1]
+        eu = abs(u - ue)
+        ev = abs(v - ve)
         rows.append(StudyRow(n_steps=n, tau=tau, error_u=eu, error_v=ev))
 
     def _fit(getter):

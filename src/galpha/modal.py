@@ -27,9 +27,11 @@ from .stepper import integrate  # noqa: F401
 
 
 def _symmetric(K) -> np.ndarray:
-    """K as a new float array, checked to be square, finite and
-    symmetric to 1e-12 of its largest entry."""
+    """K as a new float array, checked to be non-empty, square, finite
+    and symmetric to 1e-12 of its largest entry."""
     K = np.array(K, dtype=float)
+    if K.size == 0:
+        raise ValueError("K must be non-empty")
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("K must be a square matrix")
     if not np.isfinite(K).all():

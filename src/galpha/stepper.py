@@ -27,20 +27,34 @@ It is kept as a comparison mode and tops out near order 3 for k = 3.
 
 Everything but the state is fixed for a given (parameters, lambda, tau,
 variant); ``_StepPlan`` computes it once, so ``integrate`` pays for the
-tau^m/m! table, the divisors and the stability check once per run.  A
-plan also takes a 1-D array of lambdas: each state entry is then an
+tau^m/m! table, the divisors and the stability check once per run.  The
+step itself is generated code: the block layout depends only on (k,
+variant), so ``_advance_code`` writes one straight-line ``advance(d)``
+per structure and compiles it once, and each plan binds its own
+constants (tau^m/m!, -lambda, couplings, divisors) to that code by name
+through the function's globals.  No number is formatted into the source.
+Each Taylor sum is written out left to right from the int 0, exactly as
+``sum`` adds on Python 3.11, so every result keeps the bits (and the
+signs of zeros) of a plain loop over the plan's ``blocks`` table.
+
+A plan also takes a 1-D array of lambdas: each state entry is then an
 array over modes, and every mode gets the same operations in the same
 order as a scalar plan for its own lambda, so the numbers agree bit for
 bit.
+
+``integrate`` stores a scalar run as rows [t_i, d0, ..., d{3k-1}] and
+builds no per-step ``ModalState``; ``Trajectory.times`` and
+``Trajectory.states`` are views derived from those rows.
 """
 
 from __future__ import annotations
 
+import functools
+import types
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial
-from operator import mul
 
 import numpy as np
 
@@ -70,6 +84,10 @@ class StepConfig:
     allow_negative_lambda: bool = False
 
     def __post_init__(self):
+        # a numpy scalar would otherwise reach the trajectory's t column
+        object.__setattr__(self, "tau", float(self.tau))
+        # the step's layout is chosen by identity, so "printed" must become the member
+        object.__setattr__(self, "variant", Variant(self.variant))
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
@@ -88,23 +106,51 @@ class ModalState:
             raise ValueError(f"state must hold 3k = {3 * self.k} entries")
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    times: tuple[float, ...]
-    states: tuple[ModalState, ...]
+    """Snapshots of one scalar run, stored as rows [t, d0, ..., d{3k-1}].
 
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
+    ``Trajectory(times=..., states=...)`` builds the rows from states of
+    one k at strictly increasing times; ``integrate`` fills them
+    directly.  ``times`` and ``states`` are derived from the rows on
+    each access, so read ``rows`` where a few entries will do.
+    """
+
+    def __init__(self, times, states):
+        if len(times) != len(states):
             raise ValueError("times and states must have equal length")
-        for a, b in zip(self.times, self.times[1:]):
+        if not states:
+            raise ValueError("a trajectory needs at least one state")
+        for a, b in zip(times, times[1:]):
             if not b > a:
                 raise ValueError("times must be strictly increasing")
+        self.k = states[0].k
+        if any(s.k != self.k for s in states):
+            raise ValueError("states must share one k")
+        self.rows = [[t, *s.d] for t, s in zip(times, states)]
+
+    @classmethod
+    def _of_rows(cls, k: int, rows: list) -> Trajectory:
+        traj = cls.__new__(cls)
+        traj.k, traj.rows = k, rows
+        return traj
+
+    @property
+    def times(self) -> tuple[float, ...]:
+        return tuple(row[0] for row in self.rows)
+
+    @property
+    def states(self) -> tuple[ModalState, ...]:
+        return tuple(ModalState(k=self.k, t=row[0], d=row[1:]) for row in self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return self.k == other.k and self.rows == other.rows
 
     def write_csv(self, fh) -> None:
         """Columns t, d0..d{3k-1}; full double precision."""
-        header = ",".join(["t"] + [f"d{j}" for j in range(3 * self.states[0].k)])
-        rows = ((t, *s.d) for t, s in zip(self.times, self.states))
-        fh.write(header + "\r\n" + _csv_rows(rows))
+        header = ",".join(["t"] + [f"d{j}" for j in range(3 * self.k)])
+        fh.write(header + "\r\n" + _csv_rows(self.rows))
 
 
 def _csv_rows(rows, cell=repr) -> str:
@@ -129,14 +175,66 @@ def init_state(mode: OscillatorMode, u0: float, v0: float, k: int) -> ModalState
     return ModalState(k=k, t=0.0, d=tuple(d))
 
 
+def _tops(k: int, variant: Variant) -> list[tuple[int, int, int]]:
+    """Per block, the last state entry of the u/u' predictors, of the
+    updated u'', and of the u'' predictor in the residual."""
+    n = 3 * k
+    tops = []
+    for j in range(k):
+        if variant is Variant.FULL_TAYLOR or j == k - 1:
+            tops.append((n - 1, n - 1, n - 1))
+        elif j == 0:
+            tops.append((n - 3, n - 3, n - 1))
+        else:
+            tops.append((3 * j + 2, 3 * j + 5, 3 * j + 5))
+    return tops
+
+
 def _span(coef, i: int, end: int) -> tuple[slice, tuple[float, ...]]:
     """Taylor terms of entries end..i+1 (highest first) about entry i."""
     return slice(end, i, -1), tuple(coef[end - i : 0 : -1])
 
 
+def _taylor(i: int, end: int) -> str:
+    """Source of d[i] plus its Taylor terms d[e]*tau^(e-i)/(e-i)! for
+    e = end..i+1, summed left to right from the int 0 as ``sum`` does."""
+    terms = "".join(f" + d{e}*t{e - i}" for e in range(end, i, -1))
+    return f"d{i} + (0{terms})"
+
+
+def _advance_source(k: int, variant: Variant) -> str:
+    """Straight-line source of one step for this structure.  Free names,
+    bound per plan: ``nlam`` (-lambda), ``t1``.. (tau^m/m!), and per block
+    j ``c{j}`` (coupling), ``q{j}`` (divisor), ``bt{j}`` (beta*tau^2) and
+    ``gt{j}`` (gamma*tau)."""
+    n = 3 * k
+    lines = ["def advance(d):", "    " + ", ".join(f"d{i}" for i in range(n)) + ", = d"]
+    new = []
+    for j, (top_uv, top_a, top_res) in enumerate(_tops(k, variant)):
+        b = 3 * j
+        lines += [
+            f"    u{j} = {_taylor(b, top_uv)}",
+            f"    a{j} = {_taylor(b + 2, top_res)}",
+            f"    r{j} = (nlam * (d{b} + c{j} * (u{j} - d{b})) - a{j}) / q{j}",
+        ]
+        # the updated u'' reuses the residual's predictor when they share a span
+        acc = f"a{j}" if top_a == top_res else f"({_taylor(b + 2, top_a)})"
+        new += [f"u{j} + bt{j} * r{j}", f"{_taylor(b + 1, top_uv)} + gt{j} * r{j}", f"{acc} + r{j}"]
+    lines.append("    return (" + ", ".join(new) + ",)")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _advance_code(k: int, variant: Variant) -> types.CodeType:
+    """``_advance_source`` compiled once per structure."""
+    module = compile(_advance_source(k, variant), f"<galpha step k={k} {variant.value}>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
 class _StepPlan:
     """Per-block coefficient tables of one step, built once per
-    (parameters, lambda, tau, variant).
+    (parameters, lambda, tau, variant), and ``advance``, the structure's
+    generated step bound to those coefficients.
 
     ``mode.lam`` is a float or a 1-D array of per-mode lambdas; the
     checks apply to every entry.  Rejects a negative lambda unless
@@ -147,6 +245,8 @@ class _StepPlan:
 
     def __init__(self, p: SchemeParameters, mode: OscillatorMode, cfg: StepConfig):
         lam, tau = mode.lam, cfg.tau
+        if np.ndim(lam) == 0:
+            lam = float(lam)  # a numpy scalar would otherwise reach every row
         lams = np.ravel(lam)
         if not cfg.allow_negative_lambda and np.any(lams < 0.0):
             raise ValueError(
@@ -161,20 +261,12 @@ class _StepPlan:
             )
         k, n = p.k, 3 * p.k
         coef = [tau**m / factorial(m) for m in range(n)]
-        full = cfg.variant is Variant.FULL_TAYLOR
         self.k, self.lam = k, lam
         self.blocks = []
-        for j in range(k):
+        env = {"nlam": -lam, **{f"t{m}": coef[m] for m in range(1, n)}}
+        for j, (top_uv, top_a, top_res) in enumerate(_tops(k, cfg.variant)):
             b = 3 * j
             c = p.alpha_f if j == k - 1 else 1.0
-            # last entry of the u/u' predictors, of the updated u'', and of
-            # the u'' predictor in the residual
-            if full or j == k - 1:
-                top_uv = top_a = top_res = n - 1
-            elif j == 0:
-                top_uv, top_a, top_res = n - 3, n - 3, n - 1
-            else:
-                top_uv, top_a, top_res = b + 2, b + 5, b + 5
             alpha, shift = p.alpha[j], lam * tau * tau * c * p.beta[j]
             div = alpha + shift
             floor = 1e-14 * np.maximum(np.maximum(abs(alpha), abs(shift)), 1e-300)
@@ -186,27 +278,18 @@ class _StepPlan:
                     f"at lambda = {float(lams[i])} "
                     f"(alpha = {alpha}, shift = {float(np.ravel(shift)[i])})"
                 )
+            bt2, gt = p.beta[j] * tau * tau, p.gamma[j] * tau
+            env.update({f"c{j}": c, f"q{j}": div, f"bt{j}": bt2, f"gt{j}": gt})
             self.blocks.append((
-                b, c, div, p.beta[j] * tau * tau, p.gamma[j] * tau,
+                b, c, div, bt2, gt,
                 _span(coef, b, top_uv),
                 _span(coef, b + 1, top_uv),
                 _span(coef, b + 2, top_a),
                 _span(coef, b + 2, top_res),
             ))
-
-    def advance(self, d) -> list:
-        """Derivatives at step n+1 from those at step n (floats, or
-        arrays over modes for an array plan)."""
-        lam = self.lam
-        new = [0.0] * (3 * self.k)
-        for b, c, div, bt2, gt, (su, cu), (sv, cv), (sa, ca), (sr, cr) in self.blocks:
-            pred_u = d[b] + sum(map(mul, d[su], cu))
-            res_a = d[b + 2] + sum(map(mul, d[sr], cr))
-            r = (-lam * (d[b] + c * (pred_u - d[b])) - res_a) / div
-            new[b] = pred_u + bt2 * r
-            new[b + 1] = d[b + 1] + sum(map(mul, d[sv], cv)) + gt * r
-            new[b + 2] = d[b + 2] + sum(map(mul, d[sa], ca)) + r
-        return new
+        # advance(d): the derivatives at step n+1, as a tuple, from those at
+        # step n (floats, or arrays over modes for an array plan)
+        self.advance = types.FunctionType(_advance_code(k, cfg.variant), env)
 
 
 def step(
@@ -228,16 +311,16 @@ def integrate(
     n_steps: int,
 ) -> Trajectory:
     """n_steps uniform steps from the exact initial state; n_steps+1
-    snapshots at t_i = i*tau."""
+    rows [t_i, *d] at t_i = i*tau."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    plan = _StepPlan(p, mode, cfg)
-    s = init_state(mode, u0, v0, p.k)
-    states = [s]
+    advance = _StepPlan(p, mode, cfg).advance
+    tau = cfg.tau
+    d = init_state(mode, u0, v0, p.k).d
+    rows = [[0.0, *d]]
+    append = rows.append
     for i in range(1, n_steps + 1):
+        d = advance(d)
         # times are exactly i*tau, so long runs do not drift
-        s = ModalState(k=p.k, t=i * cfg.tau, d=plan.advance(s.d))
-        states.append(s)
-    return Trajectory(
-        times=tuple(st.t for st in states), states=tuple(states)
-    )
+        append([i * tau, *d])
+    return Trajectory._of_rows(p.k, rows)

@@ -239,6 +239,18 @@ class TestFlagValidation:
         assert code == 2
         assert out == ""
 
+    def test_negative_dump_sigma_exits_2_without_artifacts(self, tmp_path, capsys):
+        # once rejected only after the spectrum CSV was written (exit 1)
+        code, out, err = run_cli(
+            capsys, "spectrum", "--k", "1", "--rho", "0.5", "--sigma-min", "1e-3",
+            "--sigma-max", "1e3", "--points", "5", "--dump-matrices-sigma", "-1",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "--dump-matrices-sigma" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_parser_builds():
     parser = build_parser()

@@ -82,6 +82,16 @@ class TestSymmetricSystem:
         with pytest.raises(ValueError, match="finite"):
             load_system(path)
 
+    def test_rejects_empty_stiffness(self):
+        with pytest.raises(ValueError, match="K must be non-empty"):
+            SymmetricSystem(K=np.zeros((0, 0)), u0=[], v0=[])
+
+    def test_load_system_rejects_empty_stiffness(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text('{"K": [], "u0": [], "v0": []}')
+        with pytest.raises(ValueError, match="K must be non-empty"):
+            load_system(path)
+
 
 class TestJacobiEig:
     def test_known_2x2(self):

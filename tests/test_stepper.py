@@ -21,6 +21,7 @@ from galpha import (
     step,
     unscale_state,
 )
+import galpha.stepper
 from galpha.stepper import Trajectory, _csv_rows, _StepPlan
 
 
@@ -193,6 +194,65 @@ class TestIntegrate:
             integrate(p, OscillatorMode(1.0), StepConfig(tau=0.1), 1.0, 0.0, 0)
         with pytest.raises(ValueError):
             StepConfig(tau=0.0)
+        with pytest.raises(ValueError):
+            StepConfig(tau=0.1, variant="bogus")
+
+    def test_variant_given_by_value(self):
+        # a plain "full" once ran the AS_PRINTED layout by failing an identity test
+        assert StepConfig(tau=0.1, variant="full").variant is Variant.FULL_TAYLOR
+        p = derive(rho_spec(0.5, 0.5))
+        by_value = integrate(p, OscillatorMode(3.0), StepConfig(tau=0.1, variant="full"), 1.0, 0.0, 10)
+        by_member = integrate(p, OscillatorMode(3.0), StepConfig(tau=0.1), 1.0, 0.0, 10)
+        assert by_value == by_member
+
+    def test_builds_no_state_per_step(self, monkeypatch):
+        built = []
+        post_init = ModalState.__post_init__
+        monkeypatch.setattr(ModalState, "__post_init__", lambda s: built.append(post_init(s)))
+        p = derive(rho_spec(0.5, 0.5))
+        traj = integrate(p, OscillatorMode(3.0), StepConfig(tau=0.1), 1.0, 0.0, 100)
+        assert len(traj.rows) == 101
+        assert len(built) == 1  # the initial state only
+
+    def test_numpy_scalar_inputs_write_the_same_csv(self):
+        # a numpy 2 scalar once reached the t column as "np.float64(0.2)"
+        p = derive(rho_spec(0.5, 0.5))
+
+        def csv_text(lam, tau, u0, v0):
+            buf = io.StringIO()
+            integrate(p, OscillatorMode(lam), StepConfig(tau=tau), u0, v0, 20).write_csv(buf)
+            return buf.getvalue()
+
+        want = csv_text(3.0, 0.1, 1.0, 0.5)
+        assert "np" not in want
+        assert csv_text(np.float64(3.0), np.float64(0.1), np.float64(1.0), np.float64(0.5)) == want
+
+
+class TestTrajectory:
+    def test_round_trip_through_times_and_states(self):
+        p = derive(rho_spec(0.3, 0.7))
+        traj = integrate(p, OscillatorMode(2.5), StepConfig(tau=0.03), 1.0, -0.5, 50)
+        again = Trajectory(times=traj.times, states=traj.states)
+        assert again == traj
+        want, got = io.StringIO(), io.StringIO()
+        traj.write_csv(want)
+        again.write_csv(got)
+        assert got.getvalue() == want.getvalue()
+
+    def test_states_are_views_of_the_rows(self):
+        p = derive(rho_spec(0.5))
+        traj = integrate(p, OscillatorMode(0.0), StepConfig(tau=0.5), 2.0, 3.0, 2)
+        assert traj.rows == [[0.0, 2.0, 3.0, 0.0], [0.5, 3.5, 3.0, 0.0], [1.0, 5.0, 3.0, 0.0]]
+        assert traj.times == (0.0, 0.5, 1.0)
+        assert traj.states[1] == ModalState(k=1, t=0.5, d=(3.5, 3.0, 0.0))
+
+    @pytest.mark.parametrize("times, ks", [
+        ((0.0, 1.0), (1,)), ((0.0, 0.0), (1, 1)), ((), ()), ((0.0, 1.0), (1, 2)),
+    ])
+    def test_rejects_inconsistent_input(self, times, ks):
+        states = tuple(ModalState(k=k, t=0.0, d=(0.0,) * (3 * k)) for k in ks)
+        with pytest.raises(ValueError):
+            Trajectory(times=times, states=states)
 
 
 def test_trajectory_csv_export():
@@ -247,3 +307,74 @@ class TestArrayPlan:
             _StepPlan(p, OscillatorMode(np.array([1.0, -2.0, -3.0])), StepConfig(tau=0.1))
         cfg = StepConfig(tau=0.1, allow_negative_lambda=True)
         _StepPlan(p, OscillatorMode(np.array([1.0, -2.0])), cfg)
+
+
+def _reference_advance(plan, d):
+    """One step as a plain loop over ``plan.blocks``, each Taylor sum
+    accumulated left to right from the int 0 (``sum`` itself compensates
+    from Python 3.12 on)."""
+    def taylor(span):
+        sl, coefs = span
+        acc = 0
+        for x, c in zip(d[sl], coefs):
+            acc = acc + x * c
+        return acc
+
+    new = [None] * len(d)
+    for b, c, div, bt2, gt, su, sv, sa, sr in plan.blocks:
+        pred_u = d[b] + taylor(su)
+        res_a = d[b + 2] + taylor(sr)
+        r = (-plan.lam * (d[b] + c * (pred_u - d[b])) - res_a) / div
+        new[b] = pred_u + bt2 * r
+        new[b + 1] = d[b + 1] + taylor(sv) + gt * r
+        new[b + 2] = d[b + 2] + taylor(sa) + r
+    return new
+
+
+def _assert_same_bits(got, want):
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestGeneratedStep:
+    LAMS = np.array([0.0, 1.0, 37.5, 4e4])
+
+    def states(self, k, rng):
+        """Columns of 3k entries: signed zeros, and random values with
+        some entries replaced by +-0.0."""
+        n, m = 3 * k, self.LAMS.size
+        zeros = np.where(np.arange(n * m).reshape(n, m) % 3 == 0, -0.0, 0.0)
+        mixed = rng.normal(size=(n, m))
+        mixed[rng.random((n, m)) < 0.3] = 0.0
+        mixed[rng.random((n, m)) < 0.3] = -0.0
+        return [np.full((n, m), -0.0), zeros, mixed]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_reference_loop_bit_for_bit(self, k, variant):
+        rng = np.random.default_rng(k)
+        p = derive(DissipationSpec(k, tuple(rng.uniform(0.0, 1.0, k))))
+        cfg = StepConfig(tau=0.07, variant=variant)
+        array_plan = _StepPlan(p, OscillatorMode(self.LAMS), cfg)
+        scalar_plans = [_StepPlan(p, OscillatorMode(lam), cfg) for lam in self.LAMS.tolist()]
+        for D in self.states(k, rng):
+            d = list(D)
+            _assert_same_bits(array_plan.advance(d), _reference_advance(array_plan, d))
+            for m, plan in enumerate(scalar_plans):
+                d = tuple(D[:, m].tolist())
+                _assert_same_bits(plan.advance(d), _reference_advance(plan, d))
+
+    def test_one_code_object_per_structure(self):
+        p = derive(rho_spec(0.5, 0.5))
+        a = _StepPlan(p, OscillatorMode(3.0), StepConfig(tau=0.1))
+        b = _StepPlan(p, OscillatorMode(np.array([1.0, 2.0])), StepConfig(tau=0.25))
+        c = _StepPlan(p, OscillatorMode(3.0), StepConfig(tau=0.1, variant=Variant.AS_PRINTED))
+        assert a.advance.__code__ is b.advance.__code__
+        assert a.advance.__code__ is not c.advance.__code__
+        assert a.advance.__globals__["q0"] != b.advance.__globals__["q0"][0]
+
+    def test_source_holds_no_numbers_but_the_sums_int_zero(self):
+        src = galpha.stepper._advance_source(3, Variant.AS_PRINTED)
+        assert "." not in src
+        assert {tok for tok in src.replace("(", " ").replace(")", " ").split() if tok.isdigit()} == {"0"}
