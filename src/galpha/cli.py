@@ -129,20 +129,18 @@ def _write_matrix_csv(path: Path, M: np.ndarray) -> None:
 
 def _cmd_spectrum(args, p) -> str:
     spec = spectral.sweep_spectrum(p, args.sigma_min, args.sigma_max, args.points)
-    k = p.k
+    # Rows are sigma,block,idx,re,im,abs: each sigma is formatted once
+    # and each ",block,idx," piece once per sweep.
+    pieces = [f",{j},{i}," for j in range(p.k) for i in range(3)]
     path = _outfile(args, ".csv")
     with open(path, "w", newline="") as fh:
         fh.write(_csv_rows([["sigma", "block", "idx", "re", "im", "abs"]], str))
         for lo in range(0, args.points, 256):  # 256 sigmas at a time keep memory flat
-            eigs = spec.eigs[lo:lo + 256]
-            n = len(eigs)
-            fh.write(_csv_rows(zip(
-                np.repeat(spec.sigma[lo:lo + 256], 3 * k).tolist(),
-                np.tile(np.repeat(np.arange(k), 3), n).tolist(),
-                np.tile(np.arange(3), n * k).tolist(),
-                eigs.real.ravel().tolist(),
-                eigs.imag.ravel().tolist(),
-                np.abs(eigs).ravel().tolist(),
+            eigs = spec.eigs[lo:lo + 256].ravel()
+            heads = [s + piece for s in map(repr, spec.sigma[lo:lo + 256].tolist()) for piece in pieces]
+            fh.write("".join(map(
+                "{}{!r},{!r},{!r}\r\n".format,
+                heads, eigs.real.tolist(), eigs.imag.tolist(), np.abs(eigs).tolist(),
             )))
     extra = ""
     if args.dump_matrices_sigma is not None:
@@ -159,8 +157,7 @@ def _cmd_spectrum(args, p) -> str:
     )
 
 
-def _cmd_stability_map(args, _) -> str:
-    fixed = _parse_fix(args.fix)
+def _cmd_stability_map(args, fixed: dict) -> str:
     sweep = spectral.SweepConfig(n_points=args.sigma_points)
     smap = spectral.stability_map(args.k, fixed, args.vary[0], args.vary[1], sweep)
     rows = [["x_name", "x", "y_name", "y", "max_radius", "stable"]] + [
@@ -256,14 +253,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first ``run`` and reused: each parse_args call fills a
+# fresh Namespace, and argparse copies an ``append`` default before
+# appending to it, so no flag value carries over from one call to the next.
+_parser = None
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         spec = DissipationSpec(args.k, tuple(args.rho)) if hasattr(args, "rho") else None
+        fixed = None
         if args.subcommand == "simulate":
             StepConfig(tau=args.tau)
             if args.steps < 1:
@@ -284,7 +290,9 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        summary = args.func(args, None if spec is None else derive(spec))
+        # Every subcommand takes its scheme from --rho, except stability-map,
+        # which takes the --fix values parsed above.
+        summary = args.func(args, fixed if spec is None else derive(spec))
     except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,12 +24,17 @@ Results are arrays with sigma's shape in front: ``eigvals`` gives
 (..., k, 3) complex values, ``spectral_radius`` one float per sigma, and
 ``sweep_spectrum`` a ``Spectrum`` of the three arrays.
 
-A stability map is one batched pass as well: ``stability_map`` builds
-each grid point's coefficients with ``from_alphas``, stacks the block
-pairs of every (point, sigma) pair, and makes one solve -> eigvals ->
-radius pass per slab of at most MAP_SLAB_BLOCKS blocks.  A point with a
-singular block gets radius inf instead of stopping the pass.
-``classify_stability`` is the one-point case of the same pass.
+A stability map is one batched pass as well.  ``stability_map`` builds
+each grid point's coefficients with ``from_alphas``, and solves each
+distinct block once: leading block j depends on alpha_j alone (through
+the gamma and beta laws) and the last block on (alpha_k, alpha_f) alone,
+so across a 2-D grid most points share most of their blocks.  Every
+(distinct block, sigma) pair goes through one solve -> eigvals -> radius
+pass per slab of at most MAP_SLAB_BLOCKS pairs, and a point's radius is
+the largest of its k blocks' radii.  A singular or non-finite block gets
+radius inf, and so does every point holding it, instead of stopping the
+pass.  ``classify_stability`` is the one-point case of the same pass,
+with all k blocks of the scheme in each pair.
 
 Sigma convention: sigma = lambda*tau^2 >= 0 everywhere; sweeps use a
 positive log axis.
@@ -221,9 +226,9 @@ def sweep_spectrum(
     return Spectrum(sigma=sigma, eigs=eigs, radius=np.abs(eigs).max(axis=(-2, -1)))
 
 
-# Blocks per slab of a batched stability map.  A block peaks at ~420 B
-# (its pair, LU, G and eigenvalues), so a slab stays near 28 MB however
-# large the map or its sweep is.
+# (block, sigma) pairs per slab of a batched stability map, one 3x3 block
+# each.  A block peaks at ~420 B (its pair, LU, G and eigenvalues), so a
+# slab stays near 28 MB however large the map or its sweep is.
 MAP_SLAB_BLOCKS = 1 << 16
 
 
@@ -296,32 +301,41 @@ def stability_map(
 
     Parameter names are "alpha1".."alpha{k}" and "alpha_f"; gamma and
     beta are recomputed from the order-condition laws at every point.
-    The radii come from ``_radii`` in slabs of at most MAP_SLAB_BLOCKS
-    blocks (at least one (point, sigma) pair each).
+    Points repeat blocks (leading block j varies with alpha_j only, the
+    last with alpha_k and alpha_f only), so each distinct block row is
+    solved once, by ``_radii`` in slabs of at most MAP_SLAB_BLOCKS
+    (block, sigma) pairs; rows are told apart by bit pattern, so each
+    block's arithmetic is the same as inside its point and the radii are
+    those of solving every (point, sigma) pair whole.  A point's radius
+    is the max over its blocks of their max over the sweep.
     """
     check_map_names(k, fixed, x_axis, y_axis)
     grid = sweep.grid()
     vals = {name: float(v) for name, v in fixed.items()}
-    coords, coefficients, at = [], [], []
+    coords, rows, at = [], [], []
+    xs = np.linspace(x_axis.lo, x_axis.hi, x_axis.n).tolist()
     for y in np.linspace(y_axis.lo, y_axis.hi, y_axis.n).tolist():
-        for x in np.linspace(x_axis.lo, x_axis.hi, x_axis.n).tolist():
+        for x in xs:
             vals[x_axis.name], vals[y_axis.name] = x, y
             coords.append((x, y))
             try:
                 p = from_alphas(k, [vals[f"alpha{i + 1}"] for i in range(k)], vals["alpha_f"])
             except OverflowError:  # the beta law overflows past |alpha| ~ 1e154
                 continue
-            coefficients.append(_coefficients(p))
+            rows.append(_coefficients(p).T)  # one (alpha, beta, gamma, c) row per block
             at.append(len(coords) - 1)
-    # one radius per (point, sigma) pair, MAP_SLAB_BLOCKS // k pairs at a time
-    coefficients = np.array(coefficients).reshape(-1, 4, k)
-    pair_radius = np.empty(len(at) * grid.size)
-    step = max(1, MAP_SLAB_BLOCKS // k)
-    for lo in range(0, pair_radius.size, step):
-        i = np.arange(lo, min(lo + step, pair_radius.size))
-        pair_radius[i] = _radii(coefficients[i // grid.size], grid[i % grid.size])
+    # the rows of every point's k blocks, each bit pattern kept once
+    rows = np.array(rows).reshape(-1, 4)
+    distinct, which = np.unique(rows.view(np.int64), axis=0, return_inverse=True)
+    distinct = distinct.view(float)[..., None]  # (blocks, 4, 1): one block per scheme
+    # one radius per (block, sigma) pair, MAP_SLAB_BLOCKS pairs at a time
+    pair_radius = np.empty(len(distinct) * grid.size)
+    for lo in range(0, pair_radius.size, MAP_SLAB_BLOCKS):
+        i = np.arange(lo, min(lo + MAP_SLAB_BLOCKS, pair_radius.size))
+        pair_radius[i] = _radii(distinct[i // grid.size], grid[i % grid.size])
+    block_radius = pair_radius.reshape(len(distinct), grid.size).max(axis=1)
     radius = np.full(len(coords), np.inf)
-    radius[at] = pair_radius.reshape(len(at), grid.size).max(axis=1)
+    radius[at] = block_radius[which].reshape(len(at), k).max(axis=1)
     stable = (radius <= 1.0 + STABILITY_TOL).tolist()
     points = tuple(StabilityMapPoint(x, y, r, s) for (x, y), r, s in zip(coords, radius.tolist(), stable))
     return StabilityMap(k=k, x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), points=points)

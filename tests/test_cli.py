@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import galpha
+from galpha import cli
 from galpha.cli import build_parser, run
 
 
@@ -126,6 +131,40 @@ class TestStabilityMap:
         assert len(rows) == 10
         # entire sampled region satisfies 1/2 <= alpha_f <= alpha_2
         assert all(r[5] == "1" for r in rows[1:])
+
+    def test_consecutive_runs_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # run() keeps one parser per process; no flag value may carry
+        # over into the next call's artifacts, names or summary.
+        runs = [
+            ["stability-map", "--k", "3", "--fix", "alpha1=1.5", "--fix", "alpha3=1.2,alpha_f=0.7",
+             "--vary", "alpha2:0.5:2.0:3", "--vary", "alpha1:1.0:2.0:2", "--sigma-points", "5"],
+            ["params", "--k", "1", "--rho", "0.5"],
+            ["stability-map", "--k", "1", "--vary", "alpha1:0.5:2.0:3",
+             "--vary", "alpha_f:0.5:1.0:2", "--sigma-points", "4"],
+            ["stability-map", "--k", "2", "--fix", "alpha1=2",
+             "--vary", "alpha_f:0.5:1.0:3", "--vary", "alpha2:1.0:2.0:3", "--sigma-points", "6"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(galpha.__file__).resolve().parents[1])}
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        fresh.mkdir()
+        reused.mkdir()
+        fresh_out = [
+            subprocess.run([sys.executable, "-m", "galpha.cli", *argv, "--out", "out"], cwd=fresh,
+                           env=env, capture_output=True, text=True, check=True).stdout
+            for argv in runs
+        ]
+        monkeypatch.chdir(reused)
+        reused_out = []
+        for argv in runs + runs[:1]:
+            assert run(argv + ["--out", "out"]) == 0
+            reused_out.append(capsys.readouterr().out)
+        assert reused_out == fresh_out + fresh_out[:1]
+        files = sorted(p.name for p in (fresh / "out").iterdir())
+        assert len(files) == len(runs) and sorted(p.name for p in (reused / "out").iterdir()) == files
+        for name in files:
+            assert (reused / "out" / name).read_bytes() == (fresh / "out" / name).read_bytes()
+        args = cli._parser.parse_args(["stability-map", "--k", "2"])
+        assert args.fix == [] and args.vary == []
 
     def test_requires_two_axes(self, tmp_path, capsys):
         code, _, err = run_cli(

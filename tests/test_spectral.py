@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,99 @@ class TestStabilityMap:
         assert np.array_equal([pt.max_radius for pt in sliced.points],
                               [pt.max_radius for pt in whole.points])
         assert np.isinf([pt.max_radius for pt in whole.points]).sum() == 6
+
+
+def _all_pairs_map(k, fixed, x_axis, y_axis, sweep):
+    """Reference radii and verdicts of a map, row-major from y, from one
+    ``_radii`` call over every (point, sigma) pair with all k blocks of
+    the point in each pair; a point whose coefficients overflow is inf."""
+    coefficients, at, n = [], [], 0
+    for y in np.linspace(y_axis.lo, y_axis.hi, y_axis.n).tolist():
+        for x in np.linspace(x_axis.lo, x_axis.hi, x_axis.n).tolist():
+            vals = {**fixed, x_axis.name: x, y_axis.name: y}
+            try:
+                p = from_alphas(k, [vals[f"alpha{i + 1}"] for i in range(k)], vals["alpha_f"])
+            except OverflowError:
+                pass
+            else:
+                coefficients.append(spectral._coefficients(p))
+                at.append(n)
+            n += 1
+    radius = np.full(n, np.inf)
+    if at:
+        radius[at] = spectral._radii(np.array(coefficients)[:, None], sweep.grid()).max(axis=1)
+    return radius, radius <= 1.0 + spectral.STABILITY_TOL
+
+
+def _map_arrays(smap):
+    radius = np.array([pt.max_radius for pt in smap.points])
+    return radius, np.array([pt.stable for pt in smap.points])
+
+
+def _axis_pairs(k):
+    return [(k, x, y) for x, y in combinations([f"alpha{i + 1}" for i in range(k)] + ["alpha_f"], 2)]
+
+
+class TestStabilityMapBlocks:
+    """A map solves each distinct block once (leading block j depends on
+    alpha_j only, the last on alpha_k and alpha_f) and must give the
+    radii of the all-pairs pass bit for bit."""
+
+    @pytest.mark.parametrize("k, x_name, y_name", _axis_pairs(2) + _axis_pairs(3) + _axis_pairs(4))
+    def test_equals_the_all_pairs_pass_on_every_axis_pair(self, k, x_name, y_name):
+        names = [f"alpha{i + 1}" for i in range(k)] + ["alpha_f"]
+        fixed = {nm: 1.2 + 0.2 * j for j, nm in enumerate(names[:-1]) if nm not in (x_name, y_name)}
+        if "alpha_f" not in (x_name, y_name):
+            fixed["alpha_f"] = 0.8
+        args = (k, fixed, ParameterAxis(x_name, 0.0, 2.5, 5), ParameterAxis(y_name, 0.4, 2.2, 4),
+                SweepConfig(n_points=7))
+        radius, stable = _all_pairs_map(*args)
+        got_radius, got_stable = _map_arrays(stability_map(*args))
+        assert np.array_equal(got_radius, radius) and np.array_equal(got_stable, stable)
+        assert stable.any() and not stable.all()
+
+    @pytest.mark.parametrize("args", [
+        # signed zeros on both a leading and the last block, and in the coupling
+        (2, {"alpha1": -0.0}, ParameterAxis("alpha2", 0.0, -0.0, 3),
+         ParameterAxis("alpha_f", 0.0, -0.0, 3)),
+        (3, {"alpha1": 1.5, "alpha_f": -0.0}, ParameterAxis("alpha2", -1.0, 1.0, 3),
+         ParameterAxis("alpha3", 0.0, -0.0, 3)),
+        # singular (alpha1 = 0) points beside regular ones
+        (3, {"alpha2": 1.4, "alpha_f": 0.8}, ParameterAxis("alpha1", 0.0, 2.0, 5),
+         ParameterAxis("alpha3", 0.5, 1.5, 3)),
+        # overflowing coefficients (|alpha| > 1e154), singular and huge-radius points
+        (2, {"alpha2": 1.3}, ParameterAxis("alpha1", 0.0, 1e200, 4),
+         ParameterAxis("alpha_f", 0.6, 1.0, 2)),
+        (2, {"alpha2": 1.3}, ParameterAxis("alpha1", 0.0, 1e-299, 3),
+         ParameterAxis("alpha_f", 0.6, 1.0, 3)),
+        # every point overflows
+        (4, {"alpha2": 1.3, "alpha3": 1.2, "alpha_f": 0.7}, ParameterAxis("alpha1", 1e160, 1e200, 3),
+         ParameterAxis("alpha4", 1e170, 1e190, 2)),
+    ])
+    def test_equals_the_all_pairs_pass_on_special_points(self, args):
+        args += (SweepConfig(n_points=9),)
+        radius, stable = _all_pairs_map(*args)
+        got_radius, got_stable = _map_arrays(stability_map(*args))
+        assert np.array_equal(got_radius, radius) and np.array_equal(got_stable, stable)
+
+    @pytest.mark.parametrize("args, blocks", [
+        # 9 first blocks, 9 second blocks and one last block, not 9 * 9 * 3
+        ((3, {"alpha3": 1.2, "alpha_f": 0.7}, ParameterAxis("alpha1", 0.5, 2.5, 9),
+          ParameterAxis("alpha2", 0.6, 2.6, 9)), 19),
+        # 0.0 and -0.0 stay apart: one first block, 2 x 2 last blocks
+        ((2, {"alpha1": 1.5}, ParameterAxis("alpha2", 0.0, -0.0, 3),
+          ParameterAxis("alpha_f", 0.0, -0.0, 3)), 5),
+    ])
+    def test_each_distinct_block_is_solved_once(self, monkeypatch, args, blocks):
+        received = []
+
+        def counting(coefficients, sigma):
+            assert coefficients.shape[-1] == 1  # one block per scheme
+            received.append(len(sigma))
+            return radii(coefficients, sigma)
+
+        radii = spectral._radii
+        monkeypatch.setattr(spectral, "_radii", counting)
+        sweep = SweepConfig(n_points=11)
+        stability_map(*args, sweep)
+        assert sum(received) == blocks * sweep.n_points
