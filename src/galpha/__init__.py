@@ -23,7 +23,6 @@ from .stepper import (
 )
 from .amplification import (
     AmplificationMatrix,
-    StepMatrices,
     amplification_matrix,
     assemble_step_matrices,
     diagonal_blocks,
@@ -32,7 +31,6 @@ from .amplification import (
     unscale_state,
 )
 from .spectral import (
-    CubicCoefficients,
     ParameterAxis,
     Spectrum,
     StabilityMap,

@@ -27,14 +27,6 @@ from .stepper import ModalState, Variant
 
 
 @dataclass(frozen=True)
-class StepMatrices:
-    k: int
-    sigma: float
-    A: np.ndarray
-    B: np.ndarray
-
-
-@dataclass(frozen=True)
 class AmplificationMatrix:
     k: int
     sigma: float
@@ -72,7 +64,7 @@ def _couplings(p: SchemeParameters) -> np.ndarray:
 
 def assemble_step_matrices(
     p: SchemeParameters, sigma: float, variant: Variant = Variant.FULL_TAYLOR
-) -> StepMatrices:
+) -> tuple[np.ndarray, np.ndarray]:
     """Dense 3k x 3k pair (A, B) with A w_{n+1} = B w_n on scaled states.
 
     A is block diagonal in the 3x3 sense; B is block upper triangular.
@@ -116,7 +108,7 @@ def assemble_step_matrices(
             B[b, m] -= bj * inv[m - b - 2]
             B[b + 1, m] -= gj * inv[m - b - 2]
             B[b + 2, m] += (aj - 1.0) * inv[m - b - 2]
-    return StepMatrices(k=k, sigma=float(sigma), A=A, B=B)
+    return A, B
 
 
 def _check_divisors(p: SchemeParameters, sigma: float) -> None:
@@ -130,17 +122,22 @@ def _check_divisors(p: SchemeParameters, sigma: float) -> None:
             )
 
 
+def _solve(p: SchemeParameters, sigma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^-1 B by dense LU with partial pivoting; a singular A raises
+    SingularStepError, naming the offending block divisor if there is one."""
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        _check_divisors(p, sigma)
+        raise SingularStepError(f"step matrix A is singular at sigma = {sigma}")
+
+
 def amplification_matrix(
     p: SchemeParameters, sigma: float, variant: Variant = Variant.FULL_TAYLOR
 ) -> AmplificationMatrix:
     """G = A^-1 B via dense LU with partial pivoting (columnwise solve)."""
-    sm = assemble_step_matrices(p, sigma, variant)
-    try:
-        G = np.linalg.solve(sm.A, sm.B)
-    except np.linalg.LinAlgError:
-        _check_divisors(p, sigma)
-        raise SingularStepError(f"step matrix A is singular at sigma = {sigma}")
-    return AmplificationMatrix(k=p.k, sigma=float(sigma), G=G)
+    A, B = assemble_step_matrices(p, sigma, variant)
+    return AmplificationMatrix(k=p.k, sigma=float(sigma), G=_solve(p, sigma, A, B))
 
 
 def oracle_step(
@@ -150,13 +147,8 @@ def oracle_step(
     variant: Variant = Variant.FULL_TAYLOR,
 ) -> np.ndarray:
     """Advance one scaled state by solving A x = B s directly."""
-    sm = assemble_step_matrices(p, sigma, variant)
-    s = np.asarray(scaled_state, dtype=float)
-    try:
-        return np.linalg.solve(sm.A, sm.B @ s)
-    except np.linalg.LinAlgError:
-        _check_divisors(p, sigma)
-        raise SingularStepError(f"step matrix A is singular at sigma = {sigma}")
+    A, B = assemble_step_matrices(p, sigma, variant)
+    return _solve(p, sigma, A, B @ np.asarray(scaled_state, dtype=float))
 
 
 def scale_state(s: ModalState, tau: float) -> np.ndarray:

@@ -144,9 +144,9 @@ def _cmd_spectrum(args, p) -> str:
             )))
     extra = ""
     if args.dump_matrices_sigma is not None:
-        sm = assemble_step_matrices(p, args.dump_matrices_sigma)
+        A, B = assemble_step_matrices(p, args.dump_matrices_sigma)
         G = amplification_matrix(p, args.dump_matrices_sigma).G
-        for name, M in (("A", sm.A), ("B", sm.B), ("G", G)):
+        for name, M in (("A", A), ("B", B), ("G", G)):
             mpath = _outfile(args, f"_{name}.csv")
             _write_matrix_csv(mpath, M)
         extra = f" matrices={_outfile(args, '_A.csv').parent}"

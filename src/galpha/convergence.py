@@ -167,7 +167,7 @@ def verify_recurrence(
         raise ValueError(f"component must be in [0, {3 * k})")
     blk = diagonal_blocks(p, sigma)[component // 3]
     idx = component % 3
-    c = char_coeffs_3x3(blk)
+    g1, g2, g3 = char_coeffs_3x3(blk)
     vec = np.ones(3)
     seq = []
     for _ in range(n_terms):
@@ -178,5 +178,5 @@ def verify_recurrence(
     scale = float(np.max(np.abs(w)))
     if scale == 0.0:
         return 0.0
-    res = w[3:] - c.G1 * w[2:-1] + c.G2 * w[1:-2] - c.G3 * w[:-3]
+    res = w[3:] - g1 * w[2:-1] + g2 * w[1:-2] - g3 * w[:-3]
     return float(np.max(np.abs(res)) / scale)

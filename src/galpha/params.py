@@ -13,6 +13,9 @@ alpha_k's place), so one set of laws covers every order:
     gamma_k = 1/2 - alpha_f + alpha_k,
     beta_i  = (1 + 4*gamma_i + 4*gamma_i^2)/16 = ((2*gamma_i + 1)/4)^2.
 
+``gamma_beta`` writes the gamma and beta laws once, for one scheme's
+floats and for arrays of many schemes alike.
+
 All objects are immutable value types; the functions are pure.
 """
 
@@ -21,6 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -113,21 +118,38 @@ def check_stability_conditions(p: SchemeParameters) -> StabilityReport:
     return StabilityReport(passed=not violations, violations=tuple(violations))
 
 
+def gamma_beta(alpha, alpha_f):
+    """The gamma and beta laws: gamma_j and beta_j of every block from
+    alpha (..., k) and alpha_f (...), floats or arrays; both come back
+    with alpha's shape.  The squaring is ``np.float_power``, which rounds
+    like Python's float ``** 2`` (numpy's ``** 2`` on an array is off by
+    an ulp on some values, e.g. alpha = 2.759).  Past |alpha| ~ 1e154
+    beta overflows to inf, and past ~1e308 gamma too, without a warning."""
+    alpha = np.asarray(alpha, dtype=float)
+    with np.errstate(over="ignore"):
+        gamma = alpha - 0.5
+        gamma[..., -1] = 0.5 - np.asarray(alpha_f, dtype=float) + alpha[..., -1]
+        # zeroes the imaginary part of the block eigenvalues in the stiff limit
+        beta = np.float_power((2.0 * gamma + 1.0) / 4.0, 2)
+    return gamma, beta
+
+
 def from_alphas(
     k: int, alpha: Sequence[float], alpha_f: float
 ) -> SchemeParameters:
     """Build parameters from raw alpha values, recomputing gamma and beta
-    from the order conditions.  ``derive`` completes its alphas here;
-    stability-map scans call it directly, and then the result carries no
+    with ``gamma_beta``; raises OverflowError where a beta is not finite.
+    ``derive`` completes its alphas here, and then the result carries no
     dissipation spec."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != k:
         raise ValueError(f"expected {k} alpha values, got {len(alpha)}")
-    gamma = [a - 0.5 for a in alpha[:-1]]
-    gamma.append(0.5 - alpha_f + alpha[-1])
-    # zeroes the imaginary part of the block eigenvalues in the stiff limit
-    beta = [((2.0 * g + 1.0) / 4.0) ** 2 for g in gamma]
+    gamma, beta = gamma_beta(alpha, alpha_f)
+    if not np.isfinite(beta).all():
+        raise OverflowError(f"beta is not finite at alpha = {alpha}, alpha_f = {alpha_f}")
     return SchemeParameters(
         k=k, alpha=alpha, alpha_f=float(alpha_f),
-        beta=tuple(beta), gamma=tuple(gamma), rho=None,
+        beta=tuple(beta.tolist()), gamma=tuple(gamma.tolist()), rho=None,
     )

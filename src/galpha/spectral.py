@@ -24,17 +24,19 @@ Results are arrays with sigma's shape in front: ``eigvals`` gives
 (..., k, 3) complex values, ``spectral_radius`` one float per sigma, and
 ``sweep_spectrum`` a ``Spectrum`` of the three arrays.
 
-A stability map is one batched pass as well.  ``stability_map`` builds
-each grid point's coefficients with ``from_alphas``, and solves each
-distinct block once: leading block j depends on alpha_j alone (through
-the gamma and beta laws) and the last block on (alpha_k, alpha_f) alone,
-so across a 2-D grid most points share most of their blocks.  Every
-(distinct block, sigma) pair goes through one solve -> eigvals -> radius
-pass per slab of at most MAP_SLAB_BLOCKS pairs, and a point's radius is
-the largest of its k blocks' radii.  A singular or non-finite block gets
-radius inf, and so does every point holding it, instead of stopping the
-pass.  ``classify_stability`` is the one-point case of the same pass,
-with all k blocks of the scheme in each pair.
+A stability map is one array pass from its axes to its radii.
+``stability_map`` builds every grid point's k block rows (alpha, beta,
+gamma, c) at once from the two ``linspace`` axes and the fixed values,
+with gamma and beta from the laws in ``params.gamma_beta``, and solves
+each distinct row once: leading block j depends on alpha_j alone and
+the last block on (alpha_k, alpha_f) alone, so across a 2-D grid most
+points share most of their blocks.  Every (distinct block, sigma) pair
+goes through one solve -> eigvals -> radius pass per slab of at most
+MAP_SLAB_BLOCKS pairs, and a point's radius is the largest of its k
+blocks' radii.  A singular or non-finite block (beta overflows past
+|alpha| ~ 1e154) gets radius inf, and so does every point holding it,
+instead of stopping the pass.  ``classify_stability`` is the one-point
+case of the same pass, with all k blocks of the scheme in each pair.
 
 Sigma convention: sigma = lambda*tau^2 >= 0 everywhere; sweeps use a
 positive log axis.
@@ -46,18 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SchemeParameters, from_alphas
+from .params import SchemeParameters, gamma_beta
 from .errors import UnsupportedParametersError
 from .amplification import _block_pair, _couplings, diagonal_blocks
-
-
-@dataclass(frozen=True)
-class CubicCoefficients:
-    """Invariants (trace, minor sum, determinant) of a 3x3 matrix."""
-
-    G1: float
-    G2: float
-    G3: float
 
 
 @dataclass(frozen=True)
@@ -125,8 +118,8 @@ class StabilityMap:
 STABILITY_TOL = 1e-9
 
 
-def char_coeffs_3x3(M) -> CubicCoefficients:
-    """Exact trace / principal-minor sum / determinant of a 3x3 matrix."""
+def char_coeffs_3x3(M) -> tuple[float, float, float]:
+    """Exact (trace, principal-minor sum, determinant) of a 3x3 matrix."""
     M = np.asarray(M, dtype=float)
     g1 = M[0, 0] + M[1, 1] + M[2, 2]
     g2 = (
@@ -139,7 +132,7 @@ def char_coeffs_3x3(M) -> CubicCoefficients:
         - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
         + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
     )
-    return CubicCoefficients(G1=g1, G2=g2, G3=g3)
+    return g1, g2, g3
 
 
 # A conjugate pair this close to the real axis (relative to its
@@ -297,35 +290,34 @@ def stability_map(
     y_axis: ParameterAxis,
     sweep: SweepConfig = SweepConfig(),
 ) -> StabilityMap:
-    """Classify a 2-D grid of raw alpha parameters.
+    """Classify a 2-D grid of raw alpha parameters in one array pass.
 
-    Parameter names are "alpha1".."alpha{k}" and "alpha_f"; gamma and
-    beta are recomputed from the order-condition laws at every point.
-    Points repeat blocks (leading block j varies with alpha_j only, the
-    last with alpha_k and alpha_f only), so each distinct block row is
-    solved once, by ``_radii`` in slabs of at most MAP_SLAB_BLOCKS
-    (block, sigma) pairs; rows are told apart by bit pattern, so each
-    block's arithmetic is the same as inside its point and the radii are
-    those of solving every (point, sigma) pair whole.  A point's radius
-    is the max over its blocks of their max over the sweep.
+    Parameter names are "alpha1".."alpha{k}" and "alpha_f".  The
+    (points, k, 4) block rows (alpha, beta, gamma, c) come straight from
+    the two axes and the fixed values, with gamma and beta from the
+    ``gamma_beta`` laws; points run row-major from y.  Points repeat
+    blocks (leading block j varies with alpha_j only, the last with
+    alpha_k and alpha_f only), so each distinct row is solved once, by
+    ``_radii`` in slabs of at most MAP_SLAB_BLOCKS (block, sigma) pairs;
+    rows are told apart by bit pattern, so each block's arithmetic is the
+    same as inside its point and the radii are those of solving every
+    (point, sigma) pair whole.  A point's radius is the max over its
+    blocks of their max over the sweep; a row whose beta overflows (past
+    |alpha| ~ 1e154) is not finite, so its points get radius inf.
     """
     check_map_names(k, fixed, x_axis, y_axis)
     grid = sweep.grid()
+    n = x_axis.n * y_axis.n
     vals = {name: float(v) for name, v in fixed.items()}
-    coords, rows, at = [], [], []
-    xs = np.linspace(x_axis.lo, x_axis.hi, x_axis.n).tolist()
-    for y in np.linspace(y_axis.lo, y_axis.hi, y_axis.n).tolist():
-        for x in xs:
-            vals[x_axis.name], vals[y_axis.name] = x, y
-            coords.append((x, y))
-            try:
-                p = from_alphas(k, [vals[f"alpha{i + 1}"] for i in range(k)], vals["alpha_f"])
-            except OverflowError:  # the beta law overflows past |alpha| ~ 1e154
-                continue
-            rows.append(_coefficients(p).T)  # one (alpha, beta, gamma, c) row per block
-            at.append(len(coords) - 1)
-    # the rows of every point's k blocks, each bit pattern kept once
-    rows = np.array(rows).reshape(-1, 4)
+    vals[x_axis.name] = np.tile(np.linspace(x_axis.lo, x_axis.hi, x_axis.n), y_axis.n)
+    vals[y_axis.name] = np.repeat(np.linspace(y_axis.lo, y_axis.hi, y_axis.n), x_axis.n)
+    alpha = np.stack([np.broadcast_to(vals[f"alpha{i + 1}"], n) for i in range(k)], axis=-1)
+    alpha_f = np.broadcast_to(vals["alpha_f"], n)
+    gamma, beta = gamma_beta(alpha, alpha_f)
+    c = np.ones((n, k))
+    c[:, -1] = alpha_f
+    rows = np.stack((alpha, beta, gamma, c), axis=-1).reshape(-1, 4)
+    # each bit pattern of the points' block rows kept once
     distinct, which = np.unique(rows.view(np.int64), axis=0, return_inverse=True)
     distinct = distinct.view(float)[..., None]  # (blocks, 4, 1): one block per scheme
     # one radius per (block, sigma) pair, MAP_SLAB_BLOCKS pairs at a time
@@ -334,8 +326,10 @@ def stability_map(
         i = np.arange(lo, min(lo + MAP_SLAB_BLOCKS, pair_radius.size))
         pair_radius[i] = _radii(distinct[i // grid.size], grid[i % grid.size])
     block_radius = pair_radius.reshape(len(distinct), grid.size).max(axis=1)
-    radius = np.full(len(coords), np.inf)
-    radius[at] = block_radius[which].reshape(len(at), k).max(axis=1)
+    radius = block_radius[which].reshape(n, k).max(axis=1)
     stable = (radius <= 1.0 + STABILITY_TOL).tolist()
-    points = tuple(StabilityMapPoint(x, y, r, s) for (x, y), r, s in zip(coords, radius.tolist(), stable))
+    points = tuple(map(
+        StabilityMapPoint,
+        vals[x_axis.name].tolist(), vals[y_axis.name].tolist(), radius.tolist(), stable,
+    ))
     return StabilityMap(k=k, x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), points=points)

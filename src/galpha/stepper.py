@@ -33,9 +33,10 @@ variant), so ``_advance_code`` writes one straight-line ``advance(d)``
 per structure and compiles it once, and each plan binds its own
 constants (tau^m/m!, -lambda, couplings, divisors) to that code by name
 through the function's globals.  No number is formatted into the source.
-Each Taylor sum is written out left to right from the int 0, exactly as
-``sum`` adds on Python 3.11, so every result keeps the bits (and the
-signs of zeros) of a plain loop over the plan's ``blocks`` table.
+Each Taylor sum is written out as an explicit left-to-right
+accumulation from the int 0, highest derivative first, so every result
+keeps the bits (and the signs of zeros) of a plain loop that adds the
+terms in that order.
 
 A plan also takes a 1-D array of lambdas: each state entry is then an
 array over modes, and every mode gets the same operations in the same
@@ -190,14 +191,9 @@ def _tops(k: int, variant: Variant) -> list[tuple[int, int, int]]:
     return tops
 
 
-def _span(coef, i: int, end: int) -> tuple[slice, tuple[float, ...]]:
-    """Taylor terms of entries end..i+1 (highest first) about entry i."""
-    return slice(end, i, -1), tuple(coef[end - i : 0 : -1])
-
-
 def _taylor(i: int, end: int) -> str:
     """Source of d[i] plus its Taylor terms d[e]*tau^(e-i)/(e-i)! for
-    e = end..i+1, summed left to right from the int 0 as ``sum`` does."""
+    e = end..i+1, accumulated left to right from the int 0."""
     terms = "".join(f" + d{e}*t{e - i}" for e in range(end, i, -1))
     return f"d{i} + (0{terms})"
 
@@ -232,9 +228,9 @@ def _advance_code(k: int, variant: Variant) -> types.CodeType:
 
 
 class _StepPlan:
-    """Per-block coefficient tables of one step, built once per
-    (parameters, lambda, tau, variant), and ``advance``, the structure's
-    generated step bound to those coefficients.
+    """The coefficients of one step, built once per (parameters, lambda,
+    tau, variant), and ``advance``, the structure's generated step bound
+    to those coefficients.
 
     ``mode.lam`` is a float or a 1-D array of per-mode lambdas; the
     checks apply to every entry.  Rejects a negative lambda unless
@@ -259,13 +255,9 @@ class _StepPlan:
                 + ", ".join(report.violations),
                 stacklevel=3,
             )
-        k, n = p.k, 3 * p.k
-        coef = [tau**m / factorial(m) for m in range(n)]
-        self.k, self.lam = k, lam
-        self.blocks = []
-        env = {"nlam": -lam, **{f"t{m}": coef[m] for m in range(1, n)}}
-        for j, (top_uv, top_a, top_res) in enumerate(_tops(k, cfg.variant)):
-            b = 3 * j
+        k = p.k
+        env = {"nlam": -lam, **{f"t{m}": tau**m / factorial(m) for m in range(1, 3 * k)}}
+        for j in range(k):
             c = p.alpha_f if j == k - 1 else 1.0
             alpha, shift = p.alpha[j], lam * tau * tau * c * p.beta[j]
             div = alpha + shift
@@ -280,13 +272,6 @@ class _StepPlan:
                 )
             bt2, gt = p.beta[j] * tau * tau, p.gamma[j] * tau
             env.update({f"c{j}": c, f"q{j}": div, f"bt{j}": bt2, f"gt{j}": gt})
-            self.blocks.append((
-                b, c, div, bt2, gt,
-                _span(coef, b, top_uv),
-                _span(coef, b + 1, top_uv),
-                _span(coef, b + 2, top_a),
-                _span(coef, b + 2, top_res),
-            ))
         # advance(d): the derivatives at step n+1, as a tuple, from those at
         # step n (floats, or arrays over modes for an array plan)
         self.advance = types.FunctionType(_advance_code(k, cfg.variant), env)

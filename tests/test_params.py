@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from galpha import (
     derive,
     from_alphas,
 )
+from galpha.params import gamma_beta
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -132,3 +134,38 @@ def test_json_serialization_round_trip():
     assert data["rho"] == [0.5, 0.5]
     assert data["alpha"] == [1.3333333333333333, 1.0]
     assert data["alpha_f"] == 0.6666666666666666
+
+
+class TestGammaBetaLaws:
+    """``gamma_beta`` is the one writer of the gamma and beta laws, for
+    ``from_alphas`` and for the stability map's arrays alike."""
+
+    @staticmethod
+    def assert_rows_match(alpha, alpha_f):
+        """The array law's rows equal ``from_alphas`` at each point, and
+        the laws written out on Python floats."""
+        gamma, beta = gamma_beta(alpha, alpha_f)
+        for i in range(len(alpha)):
+            a, af = alpha[i].tolist(), float(alpha_f[i])
+            p = from_alphas(len(a), a, af)
+            want_gamma = [x - 0.5 for x in a[:-1]] + [0.5 - af + a[-1]]
+            want_beta = [((2.0 * g + 1.0) / 4.0) ** 2 for g in want_gamma]
+            for got, want in ((gamma[i], p.gamma), (beta[i], p.beta), (gamma[i], want_gamma), (beta[i], want_beta)):
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_array_law_equals_from_alphas_point_by_point(self):
+        rng = np.random.default_rng(2759)
+        self.assert_rows_match(rng.uniform(-10.0, 10.0, (2000, 3)), rng.uniform(-10.0, 10.0, 2000))
+
+    def test_array_law_rounds_like_python_at_2_759(self):
+        # numpy's array ``** 2`` (and np.square) rounds this beta an ulp
+        # away from Python's float ``** 2`` on some builds
+        self.assert_rows_match(np.full((4, 2), 2.759), np.array([0.5, 1.0, 2.759, -3.0]))
+
+    @pytest.mark.parametrize("big", [1e155, -1e160, 1e200, 1e300])
+    def test_overflow_is_a_non_finite_row_but_raises_in_from_alphas(self, big):
+        for alpha, alpha_f in (((big, 1.0), 0.6), ((1.5, big), 0.6), ((1.5, 1.0), -big)):
+            gamma, beta = gamma_beta(np.array([alpha, (1.5, 1.0)]), np.array([alpha_f, 0.6]))
+            assert not np.isfinite(beta[0]).all() and np.isfinite(beta[1]).all()
+            with pytest.raises(OverflowError):
+                from_alphas(2, alpha, alpha_f)

@@ -30,14 +30,13 @@ class TestCharCoeffs:
         rng = np.random.default_rng(5)
         for _ in range(50):
             M = rng.normal(size=(3, 3))
-            c = char_coeffs_3x3(M)
+            g1, g2, g3 = char_coeffs_3x3(M)
             # np.poly returns [1, -G1, G2, -G3]
             want = np.poly(M)
-            assert (1.0, -c.G1, c.G2, -c.G3) == pytest.approx(tuple(want), rel=1e-10)
+            assert (1.0, -g1, g2, -g3) == pytest.approx(tuple(want), rel=1e-10)
 
     def test_identity_matrix(self):
-        c = char_coeffs_3x3(np.eye(3))
-        assert (c.G1, c.G2, c.G3) == (3.0, 3.0, 1.0)
+        assert char_coeffs_3x3(np.eye(3)) == (3.0, 3.0, 1.0)
 
 
 class TestEigvals:

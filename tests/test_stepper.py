@@ -1,6 +1,7 @@
 import csv
 import io
 import warnings
+from math import factorial
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from galpha import (
     unscale_state,
 )
 import galpha.stepper
-from galpha.stepper import Trajectory, _csv_rows, _StepPlan
+from galpha.stepper import Trajectory, _csv_rows, _StepPlan, _tops
 
 
 def rho_spec(*rho):
@@ -309,25 +310,32 @@ class TestArrayPlan:
         _StepPlan(p, OscillatorMode(np.array([1.0, -2.0])), cfg)
 
 
-def _reference_advance(plan, d):
-    """One step as a plain loop over ``plan.blocks``, each Taylor sum
-    accumulated left to right from the int 0 (``sum`` itself compensates
-    from Python 3.12 on)."""
-    def taylor(span):
-        sl, coefs = span
+def _reference_advance(p, lam, cfg, d):
+    """One step as a plain loop over the blocks, with its own coefficient
+    table built from ``_tops``, p, lambda and tau by the plan's float
+    expressions in the plan's order, and each Taylor sum accumulated left
+    to right from the int 0 (``sum`` itself compensates from Python 3.12
+    on)."""
+    k, tau = p.k, cfg.tau
+    coef = [tau**m / factorial(m) for m in range(3 * k)]
+
+    def taylor(i, end):
         acc = 0
-        for x, c in zip(d[sl], coefs):
-            acc = acc + x * c
+        for e in range(end, i, -1):
+            acc = acc + d[e] * coef[e - i]
         return acc
 
     new = [None] * len(d)
-    for b, c, div, bt2, gt, su, sv, sa, sr in plan.blocks:
-        pred_u = d[b] + taylor(su)
-        res_a = d[b + 2] + taylor(sr)
-        r = (-plan.lam * (d[b] + c * (pred_u - d[b])) - res_a) / div
-        new[b] = pred_u + bt2 * r
-        new[b + 1] = d[b + 1] + taylor(sv) + gt * r
-        new[b + 2] = d[b + 2] + taylor(sa) + r
+    for j, (top_uv, top_a, top_res) in enumerate(_tops(k, cfg.variant)):
+        b = 3 * j
+        c = p.alpha_f if j == k - 1 else 1.0
+        div = p.alpha[j] + lam * tau * tau * c * p.beta[j]
+        pred_u = d[b] + taylor(b, top_uv)
+        res_a = d[b + 2] + taylor(b + 2, top_res)
+        r = (-lam * (d[b] + c * (pred_u - d[b])) - res_a) / div
+        new[b] = pred_u + p.beta[j] * tau * tau * r
+        new[b + 1] = d[b + 1] + taylor(b + 1, top_uv) + p.gamma[j] * tau * r
+        new[b + 2] = d[b + 2] + taylor(b + 2, top_a) + r
     return new
 
 
@@ -360,10 +368,10 @@ class TestGeneratedStep:
         scalar_plans = [_StepPlan(p, OscillatorMode(lam), cfg) for lam in self.LAMS.tolist()]
         for D in self.states(k, rng):
             d = list(D)
-            _assert_same_bits(array_plan.advance(d), _reference_advance(array_plan, d))
-            for m, plan in enumerate(scalar_plans):
+            _assert_same_bits(array_plan.advance(d), _reference_advance(p, self.LAMS, cfg, d))
+            for m, (lam, plan) in enumerate(zip(self.LAMS.tolist(), scalar_plans)):
                 d = tuple(D[:, m].tolist())
-                _assert_same_bits(plan.advance(d), _reference_advance(plan, d))
+                _assert_same_bits(plan.advance(d), _reference_advance(p, lam, cfg, d))
 
     def test_one_code_object_per_structure(self):
         p = derive(rho_spec(0.5, 0.5))
