@@ -13,7 +13,6 @@ from .params import (
 )
 from .stepper import (
     ModalState,
-    OscillatorMode,
     StepConfig,
     Trajectory,
     Variant,

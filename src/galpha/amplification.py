@@ -35,9 +35,9 @@ class AmplificationMatrix:
 
 def _block_pair(alpha, beta, gamma, c, sigma) -> tuple[np.ndarray, np.ndarray]:
     """The 3x3 pair (A_jj, B_jj) of one block, the classic generalized-
-    alpha pair, with implicit coupling c (1 for a leading block, alpha_f
-    for the last).  The arguments broadcast; the pair has their shape
-    plus (3, 3)."""
+    alpha pair, with implicit coupling c; the arguments are one row of
+    ``params.block_rows`` and sigma.  They broadcast; the pair has their
+    shape plus (3, 3)."""
     alpha, beta, gamma, c, sigma = np.broadcast_arrays(alpha, beta, gamma, c, sigma)
     A = np.zeros(alpha.shape + (3, 3))
     B = np.zeros(alpha.shape + (3, 3))
@@ -57,11 +57,6 @@ def _block_pair(alpha, beta, gamma, c, sigma) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def _couplings(p: SchemeParameters) -> np.ndarray:
-    """c_j per block: 1 for the leading blocks, alpha_f for the last."""
-    return np.array([1.0] * (p.k - 1) + [p.alpha_f])
-
-
 def assemble_step_matrices(
     p: SchemeParameters, sigma: float, variant: Variant = Variant.FULL_TAYLOR
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -79,7 +74,7 @@ def assemble_step_matrices(
     n = 3 * k
     A = np.zeros((n, n))
     B = np.zeros((n, n))
-    Ad, Bd = _block_pair(p.alpha, p.beta, p.gamma, _couplings(p), sigma)
+    Ad, Bd = _block_pair(p.alpha, p.beta, p.gamma, p.c, sigma)
     for j in range(k):
         A[3 * j:3 * j + 3, 3 * j:3 * j + 3] = Ad[j]
         B[3 * j:3 * j + 3, 3 * j:3 * j + 3] = Bd[j]
@@ -114,8 +109,7 @@ def assemble_step_matrices(
 def _check_divisors(p: SchemeParameters, sigma: float) -> None:
     """Name the offending block divisor when A is singular."""
     for j in range(1, p.k + 1):
-        c = 1.0 if j < p.k else p.alpha_f
-        div = p.alpha[j - 1] + sigma * c * p.beta[j - 1]
+        div = p.alpha[j - 1] + sigma * p.c[j - 1] * p.beta[j - 1]
         if abs(div) < 1e-14 * max(abs(p.alpha[j - 1]), abs(sigma), 1.0):
             raise SingularStepError(
                 f"block {j} divisor alpha_{j} + sigma*c*beta_{j} = {div} at sigma = {sigma}"
@@ -177,7 +171,7 @@ def diagonal_blocks(p: SchemeParameters, sigma) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma < 0.0):
         raise ValueError(f"sigma must be >= 0, got {sigma.min()}")
-    A, B = _block_pair(p.alpha, p.beta, p.gamma, _couplings(p), sigma[..., None])
+    A, B = _block_pair(p.alpha, p.beta, p.gamma, p.c, sigma[..., None])
     try:
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:

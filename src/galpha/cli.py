@@ -23,7 +23,7 @@ import numpy as np
 from . import convergence, spectral
 from .amplification import amplification_matrix, assemble_step_matrices
 from .params import DissipationSpec, derive
-from .stepper import OscillatorMode, StepConfig, Variant, _csv_rows, integrate
+from .stepper import StepConfig, Variant, _csv_rows, integrate
 
 
 def _finite(text: str) -> float:
@@ -92,9 +92,8 @@ def _cmd_params(args, p) -> str:
 
 
 def _cmd_simulate(args, p) -> str:
-    mode = OscillatorMode(lam=args.lam)
     cfg = StepConfig(tau=args.tau, variant=Variant(args.variant))
-    traj = integrate(p, mode, cfg, args.u0, args.v0, args.steps)
+    traj = integrate(p, args.lam, cfg, args.u0, args.v0, args.steps)
     path = _outfile(args, ".csv")
     with open(path, "w", newline="") as fh:
         traj.write_csv(fh)
@@ -106,9 +105,8 @@ def _cmd_simulate(args, p) -> str:
 
 
 def _cmd_converge(args, p) -> str:
-    mode = OscillatorMode(lam=args.lam)
     study = convergence.run_convergence(
-        p, mode, args.u0, args.v0, args.T, args.steps, variant=Variant(args.variant)
+        p, args.lam, args.u0, args.v0, args.T, args.steps, variant=Variant(args.variant)
     )
     csv_path = _outfile(args, ".csv")
     with open(csv_path, "w", newline="") as fh:

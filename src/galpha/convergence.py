@@ -17,7 +17,7 @@ import numpy as np
 from .amplification import diagonal_blocks
 from .params import SchemeParameters
 from .spectral import char_coeffs_3x3
-from .stepper import OscillatorMode, StepConfig, Variant, _csv_rows, integrate
+from .stepper import StepConfig, Variant, _csv_rows, integrate
 
 ROUNDOFF_FLOOR = 1e-12
 
@@ -107,7 +107,7 @@ def refinement(T: float, steps_list) -> list[tuple[int, float]]:
 
 def run_convergence(
     p: SchemeParameters,
-    mode: OscillatorMode,
+    lam: float,
     u0: float,
     v0: float,
     T: float,
@@ -116,11 +116,11 @@ def run_convergence(
 ) -> ConvergenceStudy:
     """Integrate once per step count and fit end-time error orders."""
     grid = refinement(T, steps_list)
-    ue, ve = exact_solution(mode.lam, u0, v0, T)
+    ue, ve = exact_solution(lam, u0, v0, T)
     rows = []
     for n, tau in grid:
         cfg = StepConfig(tau=tau, variant=variant)
-        _, u, v, *_ = integrate(p, mode, cfg, u0, v0, n).rows[-1]
+        _, u, v, *_ = integrate(p, lam, cfg, u0, v0, n).rows[-1]
         eu = abs(u - ue)
         ev = abs(v - ve)
         rows.append(StudyRow(n_steps=n, tau=tau, error_u=eu, error_v=ev))
@@ -136,7 +136,7 @@ def run_convergence(
         k=p.k,
         rho=p.rho.rho if p.rho is not None else None,
         variant=variant,
-        lam=mode.lam,
+        lam=lam,
         u0=u0,
         v0=v0,
         T=T,

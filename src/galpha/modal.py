@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import JacobiConvergenceError
 from .params import SchemeParameters
-from .stepper import OscillatorMode, StepConfig, _csv_rows, _StepPlan, init_state
+from .stepper import StepConfig, _csv_rows, _plan, init_state
 
 # Not used here; bench/test_bench.py::test_tracer_restores_every_patched_function
 # reads galpha.modal.integrate.
@@ -178,17 +178,17 @@ def integrate_system(
     dec = jacobi_eig(sys.K)
     y0 = dec.Q.T @ sys.u0
     w0 = dec.Q.T @ sys.v0
-    plan = _StepPlan(p, OscillatorMode(lam=dec.lambdas), cfg)
+    advance = _plan(p, dec.lambdas, cfg)
     # the exact initial derivatives of each mode, as 3k arrays over modes
     d = list(np.array([
-        init_state(OscillatorMode(lam=lam), y, w, p.k).d
+        init_state(lam, y, w, p.k).d
         for lam, y, w in zip(dec.lambdas.tolist(), y0.tolist(), w0.tolist())
     ]).T)
     U = np.empty((n_steps + 1, sys.n))
     V = np.empty((n_steps + 1, sys.n))
     U[0], V[0] = d[0], d[1]
     for i in range(1, n_steps + 1):
-        d = plan.advance(d)
+        d = advance(d)
         U[i], V[i] = d[0], d[1]
     return SystemTrajectory(
         times=np.arange(n_steps + 1) * cfg.tau,

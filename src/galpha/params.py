@@ -13,8 +13,10 @@ alpha_k's place), so one set of laws covers every order:
     gamma_k = 1/2 - alpha_f + alpha_k,
     beta_i  = (1 + 4*gamma_i + 4*gamma_i^2)/16 = ((2*gamma_i + 1)/4)^2.
 
-``gamma_beta`` writes the gamma and beta laws once, for one scheme's
-floats and for arrays of many schemes alike.
+Block j differs from the classic generalized-alpha block only in its
+implicit coupling c_j: 1 for a leading block, alpha_f for the last.
+``block_rows`` writes the gamma, beta and coupling laws once, for one
+scheme's floats and for arrays of many schemes alike.
 
 All objects are immutable value types; the functions are pure.
 """
@@ -22,6 +24,7 @@ All objects are immutable value types; the functions are pure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -51,8 +54,9 @@ class SchemeParameters:
     """All coefficients of one 2k-order scheme.
 
     ``alpha`` holds alpha_1..alpha_k; for k = 1 the single entry is the
-    acceleration shift alpha_m (one type serves every order).  ``rho`` is
-    the originating dissipation spec, or None when the alphas were set
+    acceleration shift alpha_m (one type serves every order).  ``c``
+    holds the block couplings from ``block_rows``.  ``rho`` is the
+    originating dissipation spec, or None when the alphas were set
     directly (e.g. for stability-map scans).
     """
 
@@ -61,13 +65,12 @@ class SchemeParameters:
     alpha_f: float
     beta: tuple[float, ...]
     gamma: tuple[float, ...]
+    c: tuple[float, ...]
     rho: DissipationSpec | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-        for name in ("alpha", "beta", "gamma"):
+        for name in ("alpha", "beta", "gamma", "c"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
             if len(getattr(self, name)) != self.k:
                 raise ValueError(f"{name} must have length k = {self.k}")
 
@@ -118,27 +121,32 @@ def check_stability_conditions(p: SchemeParameters) -> StabilityReport:
     return StabilityReport(passed=not violations, violations=tuple(violations))
 
 
-def gamma_beta(alpha, alpha_f):
-    """The gamma and beta laws: gamma_j and beta_j of every block from
-    alpha (..., k) and alpha_f (...), floats or arrays; both come back
-    with alpha's shape.  The squaring is ``np.float_power``, which rounds
+def block_rows(alpha, alpha_f) -> np.ndarray:
+    """The block table: rows (alpha_j, beta_j, gamma_j, c_j) of every
+    block, shape alpha's (..., k) + (4,), from alpha (..., k) and alpha_f
+    (...), floats or arrays.  This is the one writer of the gamma, beta
+    and coupling laws.  The squaring is ``np.float_power``, which rounds
     like Python's float ``** 2`` (numpy's ``** 2`` on an array is off by
     an ulp on some values, e.g. alpha = 2.759).  Past |alpha| ~ 1e154
     beta overflows to inf, and past ~1e308 gamma too, without a warning."""
     alpha = np.asarray(alpha, dtype=float)
+    rows = np.ones(alpha.shape + (4,))  # c = 1 for the leading blocks
+    rows[..., 0] = alpha
+    rows[..., -1, 3] = alpha_f
     with np.errstate(over="ignore"):
         gamma = alpha - 0.5
         gamma[..., -1] = 0.5 - np.asarray(alpha_f, dtype=float) + alpha[..., -1]
+        rows[..., 2] = gamma
         # zeroes the imaginary part of the block eigenvalues in the stiff limit
-        beta = np.float_power((2.0 * gamma + 1.0) / 4.0, 2)
-    return gamma, beta
+        rows[..., 1] = np.float_power((2.0 * gamma + 1.0) / 4.0, 2)
+    return rows
 
 
 def from_alphas(
     k: int, alpha: Sequence[float], alpha_f: float
 ) -> SchemeParameters:
-    """Build parameters from raw alpha values, recomputing gamma and beta
-    with ``gamma_beta``; raises OverflowError where a beta is not finite.
+    """Build parameters from raw alpha values, with beta, gamma and c
+    from ``block_rows``; raises OverflowError where a beta is not finite.
     ``derive`` completes its alphas here, and then the result carries no
     dissipation spec."""
     if k < 1:
@@ -146,10 +154,9 @@ def from_alphas(
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != k:
         raise ValueError(f"expected {k} alpha values, got {len(alpha)}")
-    gamma, beta = gamma_beta(alpha, alpha_f)
-    if not np.isfinite(beta).all():
+    _, beta, gamma, c = block_rows(alpha, alpha_f).T.tolist()
+    if not all(map(math.isfinite, beta)):
         raise OverflowError(f"beta is not finite at alpha = {alpha}, alpha_f = {alpha_f}")
     return SchemeParameters(
-        k=k, alpha=alpha, alpha_f=float(alpha_f),
-        beta=tuple(beta.tolist()), gamma=tuple(gamma.tolist()), rho=None,
+        k=k, alpha=alpha, alpha_f=float(alpha_f), beta=beta, gamma=gamma, c=c, rho=None,
     )

@@ -26,11 +26,11 @@ Results are arrays with sigma's shape in front: ``eigvals`` gives
 
 A stability map is one array pass from its axes to its radii.
 ``stability_map`` builds every grid point's k block rows (alpha, beta,
-gamma, c) at once from the two ``linspace`` axes and the fixed values,
-with gamma and beta from the laws in ``params.gamma_beta``, and solves
-each distinct row once: leading block j depends on alpha_j alone and
-the last block on (alpha_k, alpha_f) alone, so across a 2-D grid most
-points share most of their blocks.  Every (distinct block, sigma) pair
+gamma, c) at once from the two ``linspace`` axes and the fixed values
+with ``params.block_rows``, which writes the gamma, beta and coupling
+laws, and solves each distinct row once: leading block j depends on
+alpha_j alone and the last block on (alpha_k, alpha_f) alone, so across
+a 2-D grid most points share most of their blocks.  Every (distinct block, sigma) pair
 goes through one solve -> eigvals -> radius pass per slab of at most
 MAP_SLAB_BLOCKS pairs, and a point's radius is the largest of its k
 blocks' radii.  A singular or non-finite block (beta overflows past
@@ -48,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SchemeParameters, gamma_beta
+from .params import SchemeParameters, block_rows
 from .errors import UnsupportedParametersError
-from .amplification import _block_pair, _couplings, diagonal_blocks
+from .amplification import _block_pair, diagonal_blocks
 
 
 @dataclass(frozen=True)
@@ -225,21 +225,15 @@ def sweep_spectrum(
 MAP_SLAB_BLOCKS = 1 << 16
 
 
-def _coefficients(p: SchemeParameters) -> np.ndarray:
-    """Rows alpha, beta, gamma and the couplings c_j of one scheme, (4, k)."""
-    return np.array([p.alpha, p.beta, p.gamma, _couplings(p)])
-
-
-def _radii(coefficients, sigma) -> np.ndarray:
+def _radii(rows, sigma) -> np.ndarray:
     """Spectral radius of G for each (scheme, sigma) pair, from one
-    solve -> eigvals pass over the pairs' diagonal blocks: coefficients
-    (..., 4, k) as ``_coefficients`` stacks them, broadcast against
-    sigma (...).  A pair with a block whose LU meets a zero pivot (where
-    ``diagonal_blocks`` raises) or that is not finite gets radius inf
-    instead of failing the pass."""
-    alpha, beta, gamma, c = np.moveaxis(coefficients, -2, 0)
+    solve -> eigvals pass over the pairs' diagonal blocks: each scheme's
+    block rows (..., k, 4) as ``params.block_rows`` lays them out,
+    broadcast against sigma (...).  A pair with a block whose LU meets a
+    zero pivot (where ``diagonal_blocks`` raises) or that is not finite
+    gets radius inf instead of failing the pass."""
     with np.errstate(over="ignore", invalid="ignore"):  # extreme schemes, marked below
-        A, B = _block_pair(alpha, beta, gamma, c, sigma[..., None])
+        A, B = _block_pair(*np.moveaxis(rows, -1, 0), sigma[..., None])
         sign, logdet = np.linalg.slogdet(A)
     bad = ((sign == 0.0) | ~np.isfinite(logdet) | ~np.isfinite(B).all(axis=(-2, -1))).any(axis=-1)
     A[bad], B[bad] = np.eye(3), 0.0
@@ -260,7 +254,7 @@ def classify_stability(
     any grid point counts as unstable, reported at the first such sigma.
     """
     grid = sweep.grid()
-    radius = _radii(_coefficients(p), grid)
+    radius = _radii(np.column_stack((p.alpha, p.beta, p.gamma, p.c)), grid)
     i = int(radius.argmax())
     return (bool(radius[i] <= 1.0 + STABILITY_TOL), float(radius[i]), float(grid[i]))
 
@@ -293,11 +287,11 @@ def stability_map(
     """Classify a 2-D grid of raw alpha parameters in one array pass.
 
     Parameter names are "alpha1".."alpha{k}" and "alpha_f".  The
-    (points, k, 4) block rows (alpha, beta, gamma, c) come straight from
-    the two axes and the fixed values, with gamma and beta from the
-    ``gamma_beta`` laws; points run row-major from y.  Points repeat
-    blocks (leading block j varies with alpha_j only, the last with
-    alpha_k and alpha_f only), so each distinct row is solved once, by
+    (points, k, 4) block rows (alpha, beta, gamma, c) come from
+    ``block_rows`` of the two axes and the fixed values; points run
+    row-major from y.  Points repeat blocks (leading block j varies
+    with alpha_j only, the last with alpha_k and alpha_f only), so each
+    distinct row is solved once, by
     ``_radii`` in slabs of at most MAP_SLAB_BLOCKS (block, sigma) pairs;
     rows are told apart by bit pattern, so each block's arithmetic is the
     same as inside its point and the radii are those of solving every
@@ -313,13 +307,10 @@ def stability_map(
     vals[y_axis.name] = np.repeat(np.linspace(y_axis.lo, y_axis.hi, y_axis.n), x_axis.n)
     alpha = np.stack([np.broadcast_to(vals[f"alpha{i + 1}"], n) for i in range(k)], axis=-1)
     alpha_f = np.broadcast_to(vals["alpha_f"], n)
-    gamma, beta = gamma_beta(alpha, alpha_f)
-    c = np.ones((n, k))
-    c[:, -1] = alpha_f
-    rows = np.stack((alpha, beta, gamma, c), axis=-1).reshape(-1, 4)
+    rows = block_rows(alpha, alpha_f).reshape(-1, 4)
     # each bit pattern of the points' block rows kept once
     distinct, which = np.unique(rows.view(np.int64), axis=0, return_inverse=True)
-    distinct = distinct.view(float)[..., None]  # (blocks, 4, 1): one block per scheme
+    distinct = distinct.view(float)[:, None]  # (blocks, 1, 4): one block per scheme
     # one radius per (block, sigma) pair, MAP_SLAB_BLOCKS pairs at a time
     pair_radius = np.empty(len(distinct) * grid.size)
     for lo in range(0, pair_radius.size, MAP_SLAB_BLOCKS):

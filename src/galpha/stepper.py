@@ -10,10 +10,11 @@ implicit equation for its residual
     r_j = (-lambda*(d[b] + c_j*(pred_u - d[b])) - pred_a) / div_j,
     div_j = alpha_j + lambda*tau^2*c_j*beta_j,
 
-with coupling c_j = 1 for the leading blocks and c_k = alpha_f for the
-last one, and corrects the predictors by beta_j*tau^2*r_j,
-gamma_j*tau*r_j and r_j.  Every block reads step-n values only, so the
-result does not depend on the order the blocks are visited in.
+with beta_j, gamma_j and the coupling c_j (1 for a leading block,
+alpha_f for the last) as ``params.block_rows`` writes their laws, and
+corrects the predictors by beta_j*tau^2*r_j, gamma_j*tau*r_j and r_j.
+Every block reads step-n values only, so the result does not depend on
+the order the blocks are visited in.
 
 The Taylor spans are the only difference between the variants.  The
 last block always spans its own three entries.  FULL_TAYLOR (the
@@ -26,7 +27,7 @@ from its own entry plus the next block's three.
 It is kept as a comparison mode and tops out near order 3 for k = 3.
 
 Everything but the state is fixed for a given (parameters, lambda, tau,
-variant); ``_StepPlan`` computes it once, so ``integrate`` pays for the
+variant); ``_plan`` computes it once, so ``integrate`` pays for the
 tau^m/m! table, the divisors and the stability check once per run.  The
 step itself is generated code: the block layout depends only on (k,
 variant), so ``_advance_code`` writes one straight-line ``advance(d)``
@@ -38,10 +39,12 @@ accumulation from the int 0, highest derivative first, so every result
 keeps the bits (and the signs of zeros) of a plain loop that adds the
 terms in that order.
 
-A plan also takes a 1-D array of lambdas: each state entry is then an
-array over modes, and every mode gets the same operations in the same
-order as a scalar plan for its own lambda, so the numbers agree bit for
-bit.
+Lambda is a plain number (a negative one is rejected), and a plan
+raises OverflowError naming lambda and tau where a coefficient is not
+finite.  A plan also takes a 1-D array of lambdas:
+each state entry is then an array over modes, and every mode gets the
+same operations in the same order as a scalar plan for its own lambda,
+so the numbers agree bit for bit.
 
 ``integrate`` stores a scalar run as rows [t_i, d0, ..., d{3k-1}] and
 builds no per-step ``ModalState``; ``Trajectory.times`` and
@@ -51,6 +54,7 @@ builds no per-step ``ModalState``; ``Trajectory.times`` and
 from __future__ import annotations
 
 import functools
+import math
 import types
 import warnings
 from dataclasses import dataclass
@@ -69,20 +73,9 @@ class Variant(str, Enum):
 
 
 @dataclass(frozen=True)
-class OscillatorMode:
-    """One modal stiffness lambda of u'' + lambda*u = 0 (units 1/time^2).
-
-    ``_StepPlan`` also accepts a 1-D array of lambdas, one per mode.
-    """
-
-    lam: float
-
-
-@dataclass(frozen=True)
 class StepConfig:
     tau: float
     variant: Variant = Variant.FULL_TAYLOR
-    allow_negative_lambda: bool = False
 
     def __post_init__(self):
         # a numpy scalar would otherwise reach the trajectory's t column
@@ -163,16 +156,24 @@ def _csv_rows(rows, cell=repr) -> str:
     return "".join(",".join(map(cell, row)) + "\r\n" for row in rows)
 
 
-def init_state(mode: OscillatorMode, u0: float, v0: float, k: int) -> ModalState:
+def init_state(lam: float, u0: float, v0: float, k: int) -> ModalState:
     """Exact initial derivatives via repeated differentiation of
-    u'' = -lambda*u: d[2m] = (-lambda)^m u0, d[2m+1] = (-lambda)^m v0."""
+    u'' = -lambda*u: d[2m] = (-lambda)^m u0, d[2m+1] = (-lambda)^m v0.
+    An entry that overflows from finite u0 and v0 raises OverflowError
+    naming lambda."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    lam = mode.lam
     d = []
     for j in range(3 * k):
         base = u0 if j % 2 == 0 else v0
-        d.append((-lam) ** (j // 2) * base + 0.0)  # + 0.0 drops negative zero
+        try:
+            x = (-lam) ** (j // 2) * base + 0.0  # + 0.0 drops negative zero
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x) and math.isfinite(base):
+            name = "u0" if j % 2 == 0 else "v0"
+            raise OverflowError(f"(-lambda)^{j // 2} * {name} is not finite at lambda = {lam!r}")
+        d.append(x)
     return ModalState(k=k, t=0.0, d=tuple(d))
 
 
@@ -227,69 +228,75 @@ def _advance_code(k: int, variant: Variant) -> types.CodeType:
     return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
 
-class _StepPlan:
-    """The coefficients of one step, built once per (parameters, lambda,
-    tau, variant), and ``advance``, the structure's generated step bound
-    to those coefficients.
+def _plan(p: SchemeParameters, lam, cfg: StepConfig):
+    """``advance``, the structure's generated step bound to the
+    coefficients of one (parameters, lambda, tau, variant).
 
-    ``mode.lam`` is a float or a 1-D array of per-mode lambdas; the
-    checks apply to every entry.  Rejects a negative lambda unless
-    allowed, warns once if the parameters violate the
-    unconditional-stability conditions, and raises SingularStepError on a
-    vanishing block divisor, naming the lambda it occurs at.
+    ``lam`` is a float or a 1-D array of per-mode lambdas; the checks
+    apply to every entry.  Rejects a negative lambda, warns once if the
+    parameters violate the unconditional-stability conditions, raises
+    OverflowError naming lambda and tau where a coefficient is not
+    finite, and SingularStepError on a vanishing block divisor, naming
+    the lambda it occurs at.
     """
+    tau = cfg.tau
+    if np.ndim(lam) == 0:
+        lam = float(lam)  # a numpy scalar would otherwise reach every row
+    lams = np.ravel(lam)
+    if np.any(lams < 0.0):
+        raise ValueError(f"lambda = {float(lams[lams < 0.0][0])} < 0 rejected")
+    report = check_stability_conditions(p)
+    if not report.passed:
+        warnings.warn(
+            "parameters violate the unconditional-stability conditions: "
+            + ", ".join(report.violations),
+            stacklevel=3,
+        )
 
-    def __init__(self, p: SchemeParameters, mode: OscillatorMode, cfg: StepConfig):
-        lam, tau = mode.lam, cfg.tau
-        if np.ndim(lam) == 0:
-            lam = float(lam)  # a numpy scalar would otherwise reach every row
-        lams = np.ravel(lam)
-        if not cfg.allow_negative_lambda and np.any(lams < 0.0):
-            raise ValueError(
-                f"lambda = {float(lams[lams < 0.0][0])} < 0 rejected; set allow_negative_lambda"
-            )
-        report = check_stability_conditions(p)
-        if not report.passed:
-            warnings.warn(
-                "parameters violate the unconditional-stability conditions: "
-                + ", ".join(report.violations),
-                stacklevel=3,
-            )
-        k = p.k
+    def overflow(what, i=0):
+        return OverflowError(f"{what} is not finite at lambda = {float(lams[i])!r}, tau = {tau!r}")
+
+    k = p.k
+    try:
         env = {"nlam": -lam, **{f"t{m}": tau**m / factorial(m) for m in range(1, 3 * k)}}
-        for j in range(k):
-            c = p.alpha_f if j == k - 1 else 1.0
-            alpha, shift = p.alpha[j], lam * tau * tau * c * p.beta[j]
-            div = alpha + shift
-            floor = 1e-14 * np.maximum(np.maximum(abs(alpha), abs(shift)), 1e-300)
-            singular = np.ravel(abs(div) < floor)
-            if singular.any():
-                i = int(singular.argmax())
-                raise SingularStepError(
-                    f"scalar divisor alpha + lambda*tau^2*c*beta = {float(np.ravel(div)[i])} "
-                    f"at lambda = {float(lams[i])} "
-                    f"(alpha = {alpha}, shift = {float(np.ravel(shift)[i])})"
-                )
-            bt2, gt = p.beta[j] * tau * tau, p.gamma[j] * tau
-            env.update({f"c{j}": c, f"q{j}": div, f"bt{j}": bt2, f"gt{j}": gt})
-        # advance(d): the derivatives at step n+1, as a tuple, from those at
-        # step n (floats, or arrays over modes for an array plan)
-        self.advance = types.FunctionType(_advance_code(k, cfg.variant), env)
+    except OverflowError:
+        raise overflow("a power of tau") from None
+    for j in range(k):
+        alpha, c = p.alpha[j], p.c[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = lam * tau * tau * c * p.beta[j]
+        div = alpha + shift
+        bt2, gt = p.beta[j] * tau * tau, p.gamma[j] * tau
+        bad = np.ravel(~np.isfinite(div))
+        if bad.any():
+            raise overflow(f"block {j + 1} divisor alpha + lambda*tau^2*c*beta", int(bad.argmax()))
+        if not (math.isfinite(bt2) and math.isfinite(gt)):
+            raise overflow(f"block {j + 1} coefficient beta*tau^2 or gamma*tau")
+        floor = 1e-14 * np.maximum(np.maximum(abs(alpha), abs(shift)), 1e-300)
+        singular = np.ravel(abs(div) < floor)
+        if singular.any():
+            i = int(singular.argmax())
+            raise SingularStepError(
+                f"scalar divisor alpha + lambda*tau^2*c*beta = {float(np.ravel(div)[i])} "
+                f"at lambda = {float(lams[i])} "
+                f"(alpha = {alpha}, shift = {float(np.ravel(shift)[i])})"
+            )
+        env.update({f"c{j}": c, f"q{j}": div, f"bt{j}": bt2, f"gt{j}": gt})
+    # advance(d): the derivatives at step n+1, as a tuple, from those at
+    # step n (floats, or arrays over modes for an array plan)
+    return types.FunctionType(_advance_code(k, cfg.variant), env)
 
 
-def step(
-    p: SchemeParameters, mode: OscillatorMode, cfg: StepConfig, s: ModalState
-) -> ModalState:
+def step(p: SchemeParameters, lam: float, cfg: StepConfig, s: ModalState) -> ModalState:
     """One step of any order and variant."""
     if s.k != p.k:
         raise ValueError(f"state has k = {s.k}, parameters have k = {p.k}")
-    d = _StepPlan(p, mode, cfg).advance(s.d)
-    return ModalState(k=p.k, t=s.t + cfg.tau, d=d)
+    return ModalState(k=p.k, t=s.t + cfg.tau, d=_plan(p, lam, cfg)(s.d))
 
 
 def integrate(
     p: SchemeParameters,
-    mode: OscillatorMode,
+    lam: float,
     cfg: StepConfig,
     u0: float,
     v0: float,
@@ -299,9 +306,9 @@ def integrate(
     rows [t_i, *d] at t_i = i*tau."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    advance = _StepPlan(p, mode, cfg).advance
+    advance = _plan(p, lam, cfg)
     tau = cfg.tau
-    d = init_state(mode, u0, v0, p.k).d
+    d = init_state(lam, u0, v0, p.k).d
     rows = [[0.0, *d]]
     append = rows.append
     for i in range(1, n_steps + 1):

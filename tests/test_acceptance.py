@@ -18,7 +18,6 @@ import numpy as np
 
 from galpha import (
     DissipationSpec,
-    OscillatorMode,
     ParameterAxis,
     StepConfig,
     SweepConfig,
@@ -59,7 +58,7 @@ def test_criterion_01_order_of_accuracy():
     details, ok = [], True
     for k, steps, tol in cases:
         p = derive(DissipationSpec(k, (0.5,) * k))
-        study = run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, steps)
+        study = run_convergence(p, LAM, 1.0, 0.0, 1.0, steps)
         target = 2.0 * k
         hit = (
             abs(study.fitted_order_u - target) <= tol
@@ -165,7 +164,7 @@ def test_criterion_06_oracle_equivalence():
         lam = sigma / tau**2
         w = rng.normal(size=3 * k)
         s = unscale_state(w, tau, k)
-        got = np.array(step(p, OscillatorMode(lam), StepConfig(tau=tau), s).d)
+        got = np.array(step(p, lam, StepConfig(tau=tau), s).d)
         want = np.array(unscale_state(oracle_step(p, sigma, scale_state(s, tau)), tau, k).d)
         floor = 1e-14 * max(np.max(np.abs(got)), np.max(np.abs(want)), 1e-300)
         denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), floor)
@@ -199,7 +198,7 @@ def test_criterion_08_zero_dissipation_limit():
     p1 = derive(DissipationSpec(1, (1.0,)))
     dev = float(np.max(np.abs(spectral_radius(p1, SweepConfig().grid()) - 1.0)))
     p2 = derive(DissipationSpec(2, (1.0, 1.0)))
-    traj = integrate(p2, OscillatorMode(LAM), StepConfig(tau=0.01), 1.0, 0.0, 100)
+    traj = integrate(p2, LAM, StepConfig(tau=0.01), 1.0, 0.0, 100)
     peak = max(abs(s.d[0]) for s in traj.states)
     ok = dev <= 1e-10 and peak <= 1.0 + 1e-6
     _report(
@@ -217,7 +216,7 @@ def test_criterion_09_polynomial_exactness():
     for k in (1, 2, 3):
         for rho in itertools.product(grid, repeat=k):
             p = derive(DissipationSpec(k, rho))
-            traj = integrate(p, OscillatorMode(0.0), StepConfig(tau=0.25), u0, v0, 20)
+            traj = integrate(p, 0.0, StepConfig(tau=0.25), u0, v0, 20)
             for t, s in zip(traj.times, traj.states):
                 worst = max(worst, abs(s.d[0] - (u0 + v0 * t)))
     _report(

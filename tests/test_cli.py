@@ -291,6 +291,27 @@ class TestFlagValidation:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    # lambda*tau^2 overflows in the step divisor (once NaN rows, exit 0)
+    ("simulate", "--k", "1", "--rho", "0.5", "--lambda", "1e200", "--u0", "1", "--v0", "0",
+     "--tau", "1e60", "--steps", "3"),
+    # the same at tau = T/1 (once NaN orders and NaN tokens in the JSON, exit 0)
+    ("converge", "--k", "1", "--rho", "0.5", "--lambda", "1e300", "--T", "1e10", "--steps", "1,2,4"),
+    # lambda^2 overflows Python's float ** in the initial state (once an errno tuple)
+    ("simulate", "--k", "2", "--rho", "0.5,0.5", "--lambda", "1e300", "--u0", "1", "--v0", "0",
+     "--tau", "1", "--steps", "3"),
+    # lambda^2 * u0 overflows in the initial state (once NaN rows, exit 0)
+    ("simulate", "--k", "2", "--rho", "0.5,0.5", "--lambda", "1e150", "--u0", "1e10", "--v0", "0",
+     "--tau", "1e-3", "--steps", "2"),
+])
+def test_overflowing_coefficients_exit_1_without_artifacts(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert "at lambda = " in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["params", "--k", "1", "--rho", "0.5"])

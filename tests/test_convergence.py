@@ -7,7 +7,6 @@ import pytest
 
 from galpha import (
     DissipationSpec,
-    OscillatorMode,
     derive,
     exact_solution,
     fit_order,
@@ -55,32 +54,32 @@ class TestRunConvergence:
     def test_input_validation(self):
         p = derive(DissipationSpec(1, (0.5,)))
         with pytest.raises(ValueError):
-            run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [16, 32])
+            run_convergence(p, LAM, 1.0, 0.0, 1.0, [16, 32])
         with pytest.raises(ValueError):
-            run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [32, 16, 64])
+            run_convergence(p, LAM, 1.0, 0.0, 1.0, [32, 16, 64])
 
     def test_k1_velocity_order_two(self):
         p = derive(DissipationSpec(1, (0.5,)))
-        study = run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [16, 32, 64, 128])
+        study = run_convergence(p, LAM, 1.0, 0.0, 1.0, [16, 32, 64, 128])
         assert study.fitted_order_v == pytest.approx(2.0, abs=0.15)
         assert study.discarded == 0
 
     def test_k2_velocity_order_four(self):
         p = derive(DissipationSpec(2, (0.5, 0.5)))
-        study = run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [8, 16, 32, 64])
+        study = run_convergence(p, LAM, 1.0, 0.0, 1.0, [8, 16, 32, 64])
         assert study.fitted_order_v == pytest.approx(4.0, abs=0.2)
 
     def test_roundoff_floor_discards_rows(self):
         p = derive(DissipationSpec(3, (0.5, 0.5, 0.5)))
         study = run_convergence(
-            p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [4, 8, 16, 32, 64, 128, 256, 512]
+            p, LAM, 1.0, 0.0, 1.0, [4, 8, 16, 32, 64, 128, 256, 512]
         )
         assert study.discarded >= 1
         assert math.isfinite(study.fitted_order_u)
 
     def test_csv_and_summary(self):
         p = derive(DissipationSpec(2, (0.5, 0.5)))
-        study = run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [8, 16, 32])
+        study = run_convergence(p, LAM, 1.0, 0.0, 1.0, [8, 16, 32])
         buf = io.StringIO()
         study.write_csv(buf)
         lines = buf.getvalue().strip().splitlines()
@@ -94,7 +93,7 @@ class TestRunConvergence:
 
     def test_csv_matches_csv_writer(self):
         p = derive(DissipationSpec(2, (0.5, 0.25)))
-        study = run_convergence(p, OscillatorMode(LAM), 1.0, 0.0, 1.0, [8, 16, 32])
+        study = run_convergence(p, LAM, 1.0, 0.0, 1.0, [8, 16, 32])
         want = io.StringIO()
         w = csv.writer(want)
         w.writerow(["k", "variant", "rho1", "rho2", "n_steps", "tau", "error_u", "error_v"])

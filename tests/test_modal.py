@@ -12,7 +12,6 @@ import galpha.modal
 from galpha import (
     DissipationSpec,
     JacobiConvergenceError,
-    OscillatorMode,
     StepConfig,
     SymmetricSystem,
     SystemTrajectory,
@@ -246,7 +245,7 @@ class TestIntegrateSystem:
         U = np.empty((n_steps + 1, n))
         V = np.empty((n_steps + 1, n))
         for m in range(n):
-            ref = integrate(p, OscillatorMode(float(dec.lambdas[m])), cfg,
+            ref = integrate(p, float(dec.lambdas[m]), cfg,
                             float(y0[m]), float(w0[m]), n_steps)
             U[:, m] = [s.d[0] for s in ref.states]
             V[:, m] = [s.d[1] for s in ref.states]

@@ -10,7 +10,7 @@ from galpha import (
     derive,
     from_alphas,
 )
-from galpha.params import gamma_beta
+from galpha.params import block_rows
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -136,22 +136,31 @@ def test_json_serialization_round_trip():
     assert data["alpha_f"] == 0.6666666666666666
 
 
-class TestGammaBetaLaws:
-    """``gamma_beta`` is the one writer of the gamma and beta laws, for
-    ``from_alphas`` and for the stability map's arrays alike."""
+class TestBlockRows:
+    """``block_rows`` is the one writer of the gamma, beta and coupling
+    laws, for ``from_alphas`` and for the stability map's arrays alike."""
 
     @staticmethod
     def assert_rows_match(alpha, alpha_f):
         """The array law's rows equal ``from_alphas`` at each point, and
-        the laws written out on Python floats."""
-        gamma, beta = gamma_beta(alpha, alpha_f)
+        the laws written out on Python floats, bit for bit and sign bit."""
+        rows = block_rows(alpha, alpha_f)
+        assert rows.shape == alpha.shape + (4,)
+        assert np.array_equal(rows[..., 0], alpha)
         for i in range(len(alpha)):
             a, af = alpha[i].tolist(), float(alpha_f[i])
             p = from_alphas(len(a), a, af)
             want_gamma = [x - 0.5 for x in a[:-1]] + [0.5 - af + a[-1]]
             want_beta = [((2.0 * g + 1.0) / 4.0) ** 2 for g in want_gamma]
-            for got, want in ((gamma[i], p.gamma), (beta[i], p.beta), (gamma[i], want_gamma), (beta[i], want_beta)):
+            want_c = [1.0] * (len(a) - 1) + [af]
+            _, beta, gamma, c = rows[i].T
+            for got, want in ((gamma, p.gamma), (beta, p.beta), (c, p.c),
+                              (gamma, want_gamma), (beta, want_beta), (c, want_c)):
                 assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_c_column_is_one_then_alpha_f(self):
+        # signed zeros in alpha_f survive into the last coupling
+        self.assert_rows_match(np.array([[1.5, 1.2, 0.9]] * 3), np.array([0.7, -0.0, 0.0]))
 
     def test_array_law_equals_from_alphas_point_by_point(self):
         rng = np.random.default_rng(2759)
@@ -165,7 +174,7 @@ class TestGammaBetaLaws:
     @pytest.mark.parametrize("big", [1e155, -1e160, 1e200, 1e300])
     def test_overflow_is_a_non_finite_row_but_raises_in_from_alphas(self, big):
         for alpha, alpha_f in (((big, 1.0), 0.6), ((1.5, big), 0.6), ((1.5, 1.0), -big)):
-            gamma, beta = gamma_beta(np.array([alpha, (1.5, 1.0)]), np.array([alpha_f, 0.6]))
+            beta = block_rows(np.array([alpha, (1.5, 1.0)]), np.array([alpha_f, 0.6]))[..., 1]
             assert not np.isfinite(beta[0]).all() and np.isfinite(beta[1]).all()
             with pytest.raises(OverflowError):
                 from_alphas(2, alpha, alpha_f)

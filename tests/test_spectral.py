@@ -265,7 +265,7 @@ def _all_pairs_map(k, fixed, x_axis, y_axis, sweep):
     """Reference radii and verdicts of a map, row-major from y, from one
     ``_radii`` call over every (point, sigma) pair with all k blocks of
     the point in each pair; a point whose coefficients overflow is inf."""
-    coefficients, at, n = [], [], 0
+    rows, at, n = [], [], 0
     for y in np.linspace(y_axis.lo, y_axis.hi, y_axis.n).tolist():
         for x in np.linspace(x_axis.lo, x_axis.hi, x_axis.n).tolist():
             vals = {**fixed, x_axis.name: x, y_axis.name: y}
@@ -274,12 +274,12 @@ def _all_pairs_map(k, fixed, x_axis, y_axis, sweep):
             except OverflowError:
                 pass
             else:
-                coefficients.append(spectral._coefficients(p))
+                rows.append(np.column_stack((p.alpha, p.beta, p.gamma, p.c)))
                 at.append(n)
             n += 1
     radius = np.full(n, np.inf)
     if at:
-        radius[at] = spectral._radii(np.array(coefficients)[:, None], sweep.grid()).max(axis=1)
+        radius[at] = spectral._radii(np.array(rows)[:, None], sweep.grid()).max(axis=1)
     return radius, radius <= 1.0 + spectral.STABILITY_TOL
 
 
@@ -345,10 +345,10 @@ class TestStabilityMapBlocks:
     def test_each_distinct_block_is_solved_once(self, monkeypatch, args, blocks):
         received = []
 
-        def counting(coefficients, sigma):
-            assert coefficients.shape[-1] == 1  # one block per scheme
+        def counting(rows, sigma):
+            assert rows.shape[-2] == 1  # one block per scheme
             received.append(len(sigma))
-            return radii(coefficients, sigma)
+            return radii(rows, sigma)
 
         radii = spectral._radii
         monkeypatch.setattr(spectral, "_radii", counting)

@@ -9,7 +9,6 @@ import pytest
 from galpha import (
     DissipationSpec,
     ModalState,
-    OscillatorMode,
     SingularStepError,
     StepConfig,
     Variant,
@@ -23,7 +22,7 @@ from galpha import (
     unscale_state,
 )
 import galpha.stepper
-from galpha.stepper import Trajectory, _csv_rows, _StepPlan, _tops
+from galpha.stepper import Trajectory, _csv_rows, _plan, _tops
 
 
 def rho_spec(*rho):
@@ -32,12 +31,12 @@ def rho_spec(*rho):
 
 class TestInitState:
     def test_k2_pattern(self):
-        s = init_state(OscillatorMode(4.0), 1.0, 2.0, 2)
+        s = init_state(4.0, 1.0, 2.0, 2)
         assert s.d == (1.0, 2.0, -4.0, -8.0, 16.0, 32.0)
         assert s.t == 0.0
 
     def test_zero_lambda(self):
-        s = init_state(OscillatorMode(0.0), 3.0, 5.0, 2)
+        s = init_state(0.0, 3.0, 5.0, 2)
         assert s.d == (3.0, 5.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_matches_repeated_differentiation_oracle(self):
@@ -46,28 +45,28 @@ class TestInitState:
         d = [u0, v0]
         for j in range(3 * k - 2):
             d.append(-lam * d[j])
-        s = init_state(OscillatorMode(lam), u0, v0, k)
+        s = init_state(lam, u0, v0, k)
         assert s.d == tuple(d)
         assert s.d == (1, 0, -1, 0, 1, 0, -1, 0, 1)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            init_state(OscillatorMode(1.0), 1.0, 0.0, 0)
+            init_state(1.0, 1.0, 0.0, 0)
 
 
 class TestStepK1:
     def test_zero_lambda_linear_advance(self):
         p = derive(rho_spec(0.5))
-        s = init_state(OscillatorMode(0.0), 2.0, 3.0, 1)
-        s1 = step(p, OscillatorMode(0.0), StepConfig(tau=0.5), s)
+        s = init_state(0.0, 2.0, 3.0, 1)
+        s1 = step(p, 0.0, StepConfig(tau=0.5), s)
         assert s1.d == (3.5, 3.0, 0.0)
         assert s1.t == 0.5
 
     def test_matches_amplification_oracle(self):
         p = derive(rho_spec(0.5))
         lam, tau = 1.0, 0.1
-        s = init_state(OscillatorMode(lam), 1.0, 0.0, 1)
-        s1 = step(p, OscillatorMode(lam), StepConfig(tau=tau), s)
+        s = init_state(lam, 1.0, 0.0, 1)
+        s1 = step(p, lam, StepConfig(tau=tau), s)
         w1 = oracle_step(p, lam * tau * tau, scale_state(s, tau))
         expected = unscale_state(w1, tau, 1, t=tau)
         assert s1.d == pytest.approx(expected.d, rel=1e-12)
@@ -78,7 +77,7 @@ class TestStepK1:
         p = derive(rho_spec(1.0))
         errs = []
         for n in (64, 128, 256):
-            traj = integrate(p, OscillatorMode(lam), StepConfig(tau=1.0 / n), 1.0, 0.0, n)
+            traj = integrate(p, lam, StepConfig(tau=1.0 / n), 1.0, 0.0, n)
             errs.append(abs(traj.states[-1].d[1] - 0.0))
         for e_coarse, e_fine in zip(errs, errs[1:]):
             assert 2.5 < e_coarse / e_fine < 6.0
@@ -87,15 +86,15 @@ class TestStepK1:
 class TestStepHighOrder:
     def test_zero_lambda_exact_polynomial(self):
         p = derive(rho_spec(0.3, 0.8))
-        s = init_state(OscillatorMode(0.0), 2.0, 3.0, 2)
-        s1 = step(p, OscillatorMode(0.0), StepConfig(tau=0.5), s)
+        s = init_state(0.0, 2.0, 3.0, 2)
+        s1 = step(p, 0.0, StepConfig(tau=0.5), s)
         assert s1.d == (3.5, 3.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_matches_amplification_oracle_k2(self):
         p = derive(rho_spec(0.5, 0.5))
         lam, tau = 1.0, 0.1
-        s = init_state(OscillatorMode(lam), 1.0, 0.0, 2)
-        s1 = step(p, OscillatorMode(lam), StepConfig(tau=tau), s)
+        s = init_state(lam, 1.0, 0.0, 2)
+        s1 = step(p, lam, StepConfig(tau=tau), s)
         w1 = oracle_step(p, lam * tau * tau, scale_state(s, tau))
         expected = unscale_state(w1, tau, 2, t=tau)
         assert s1.d == pytest.approx(expected.d, rel=1e-11)
@@ -113,7 +112,7 @@ class TestStepHighOrder:
             d = rng.normal(0.0, 1.0, 3 * k)
             s = unscale_state([tau**j * d[j] for j in range(3 * k)], tau, k)
             cfg = StepConfig(tau=tau, variant=variant)
-            got = np.array(step(p, OscillatorMode(lam), cfg, s).d)
+            got = np.array(step(p, lam, cfg, s).d)
             w1 = oracle_step(p, sigma, scale_state(s, tau), variant=variant)
             want = np.array(unscale_state(w1, tau, k).d)
             floor = 1e-14 * max(np.max(np.abs(got)), np.max(np.abs(want)))
@@ -125,7 +124,7 @@ class TestStepHighOrder:
         p = derive(rho_spec(0.5, 0.5))
         errs = []
         for n in (8, 16, 32, 64):
-            traj = integrate(p, OscillatorMode(lam), StepConfig(tau=1.0 / n), 1.0, 0.0, n)
+            traj = integrate(p, lam, StepConfig(tau=1.0 / n), 1.0, 0.0, n)
             errs.append(abs(traj.states[-1].d[1] - 0.0))
         slope = np.polyfit(np.log([1 / 8, 1 / 16, 1 / 32, 1 / 64]), np.log(errs), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.2)
@@ -134,35 +133,35 @@ class TestStepHighOrder:
         p = from_alphas(2, (0.9, 1.0), 0.6)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            integrate(p, OscillatorMode(1.0), StepConfig(tau=0.1), 1.0, 0.0, 50)
+            integrate(p, 1.0, StepConfig(tau=0.1), 1.0, 0.0, 50)
         assert len(caught) == 1
         assert issubclass(caught[0].category, UserWarning)
         assert "alpha_1" in str(caught[0].message)
 
     def test_rejects_mismatched_k(self):
         p = derive(rho_spec(0.5, 0.5))
-        s = init_state(OscillatorMode(1.0), 1.0, 0.0, 3)
+        s = init_state(1.0, 1.0, 0.0, 3)
         with pytest.raises(ValueError):
-            step(p, OscillatorMode(1.0), StepConfig(tau=0.1), s)
+            step(p, 1.0, StepConfig(tau=0.1), s)
 
 
 class TestIntegrate:
     def test_zero_lambda_ramp(self):
         p = derive(rho_spec(0.5))
-        traj = integrate(p, OscillatorMode(0.0), StepConfig(tau=1.0), 1.0, 1.0, 3)
+        traj = integrate(p, 0.0, StepConfig(tau=1.0), 1.0, 1.0, 3)
         assert [s.d[0] for s in traj.states] == [1.0, 2.0, 3.0, 4.0]
 
     def test_no_amplitude_growth_at_rho_one(self):
         p = derive(rho_spec(1.0, 1.0))
         traj = integrate(
-            p, OscillatorMode(4 * np.pi**2), StepConfig(tau=0.01), 1.0, 0.0, 100
+            p, 4 * np.pi**2, StepConfig(tau=0.01), 1.0, 0.0, 100
         )
         # discrete amplitude overshoot is O(tau^4); 2.1e-6 at tau = 0.01
         assert max(abs(s.d[0]) for s in traj.states) <= 1.0 + 1e-5
 
     def test_times_strictly_increasing(self):
         p = derive(rho_spec(0.2))
-        traj = integrate(p, OscillatorMode(3.0), StepConfig(tau=0.05), 1.0, 2.0, 17)
+        traj = integrate(p, 3.0, StepConfig(tau=0.05), 1.0, 2.0, 17)
         assert len(traj.times) == 18
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
 
@@ -170,29 +169,39 @@ class TestIntegrate:
         for k in (1, 2, 3):
             for r in (0.0, 0.5, 1.0):
                 p = derive(DissipationSpec(k, (r,) * k))
-                traj = integrate(p, OscillatorMode(0.0), StepConfig(tau=0.25), 1.5, -2.0, 20)
+                traj = integrate(p, 0.0, StepConfig(tau=0.25), 1.5, -2.0, 20)
                 for t, s in zip(traj.times, traj.states):
                     assert abs(s.d[0] - (1.5 - 2.0 * t)) <= 1e-13
 
     def test_determinism(self):
         p = derive(rho_spec(0.3, 0.7))
-        args = (p, OscillatorMode(2.5), StepConfig(tau=0.03), 1.0, -0.5, 50)
+        args = (p, 2.5, StepConfig(tau=0.03), 1.0, -0.5, 50)
         t1 = integrate(*args)
         t2 = integrate(*args)
         assert t1 == t2
 
     def test_negative_lambda_policy(self):
         p = derive(rho_spec(0.5))
-        with pytest.raises(ValueError):
-            integrate(p, OscillatorMode(-1.0), StepConfig(tau=0.1), 1.0, 0.0, 2)
-        cfg = StepConfig(tau=0.1, allow_negative_lambda=True)
-        traj = integrate(p, OscillatorMode(-1.0), cfg, 1.0, 0.0, 2)
-        assert traj.states[-1].d[0] > 1.0  # growing mode
+        with pytest.raises(ValueError, match="lambda = -1.0 < 0"):
+            integrate(p, -1.0, StepConfig(tau=0.1), 1.0, 0.0, 2)
+
+    @pytest.mark.parametrize("alpha, lam, tau, what", [
+        ((1.5,), 1e200, 1e60, "block 1 divisor"),  # lambda*tau^2 overflows
+        ((1.5,), 0.0, 1e200, "power of tau"),  # tau^2 overflows Python's float **
+        ((2.0, 2.0, 1.5), 1.0, 1e60, "power of tau"),  # tau^8 does
+        ((2.0, 1.5), 1e300, 1.0, "(-lambda)^2"),  # the initial state's lambda^2 does
+        ((2e154,), 0.0, 1e154, "block 1 coefficient"),  # gamma*tau does
+    ])
+    def test_overflowing_coefficients_name_lambda(self, alpha, lam, tau, what):
+        p = from_alphas(len(alpha), alpha, 0.6)
+        with pytest.raises(OverflowError) as exc:
+            integrate(p, lam, StepConfig(tau=tau), 1.0, 0.0, 3)
+        assert what in str(exc.value) and f"at lambda = {lam!r}" in str(exc.value)
 
     def test_rejects_bad_inputs(self):
         p = derive(rho_spec(0.5))
         with pytest.raises(ValueError):
-            integrate(p, OscillatorMode(1.0), StepConfig(tau=0.1), 1.0, 0.0, 0)
+            integrate(p, 1.0, StepConfig(tau=0.1), 1.0, 0.0, 0)
         with pytest.raises(ValueError):
             StepConfig(tau=0.0)
         with pytest.raises(ValueError):
@@ -202,8 +211,8 @@ class TestIntegrate:
         # a plain "full" once ran the AS_PRINTED layout by failing an identity test
         assert StepConfig(tau=0.1, variant="full").variant is Variant.FULL_TAYLOR
         p = derive(rho_spec(0.5, 0.5))
-        by_value = integrate(p, OscillatorMode(3.0), StepConfig(tau=0.1, variant="full"), 1.0, 0.0, 10)
-        by_member = integrate(p, OscillatorMode(3.0), StepConfig(tau=0.1), 1.0, 0.0, 10)
+        by_value = integrate(p, 3.0, StepConfig(tau=0.1, variant="full"), 1.0, 0.0, 10)
+        by_member = integrate(p, 3.0, StepConfig(tau=0.1), 1.0, 0.0, 10)
         assert by_value == by_member
 
     def test_builds_no_state_per_step(self, monkeypatch):
@@ -211,7 +220,7 @@ class TestIntegrate:
         post_init = ModalState.__post_init__
         monkeypatch.setattr(ModalState, "__post_init__", lambda s: built.append(post_init(s)))
         p = derive(rho_spec(0.5, 0.5))
-        traj = integrate(p, OscillatorMode(3.0), StepConfig(tau=0.1), 1.0, 0.0, 100)
+        traj = integrate(p, 3.0, StepConfig(tau=0.1), 1.0, 0.0, 100)
         assert len(traj.rows) == 101
         assert len(built) == 1  # the initial state only
 
@@ -221,7 +230,7 @@ class TestIntegrate:
 
         def csv_text(lam, tau, u0, v0):
             buf = io.StringIO()
-            integrate(p, OscillatorMode(lam), StepConfig(tau=tau), u0, v0, 20).write_csv(buf)
+            integrate(p, lam, StepConfig(tau=tau), u0, v0, 20).write_csv(buf)
             return buf.getvalue()
 
         want = csv_text(3.0, 0.1, 1.0, 0.5)
@@ -232,7 +241,7 @@ class TestIntegrate:
 class TestTrajectory:
     def test_round_trip_through_times_and_states(self):
         p = derive(rho_spec(0.3, 0.7))
-        traj = integrate(p, OscillatorMode(2.5), StepConfig(tau=0.03), 1.0, -0.5, 50)
+        traj = integrate(p, 2.5, StepConfig(tau=0.03), 1.0, -0.5, 50)
         again = Trajectory(times=traj.times, states=traj.states)
         assert again == traj
         want, got = io.StringIO(), io.StringIO()
@@ -242,7 +251,7 @@ class TestTrajectory:
 
     def test_states_are_views_of_the_rows(self):
         p = derive(rho_spec(0.5))
-        traj = integrate(p, OscillatorMode(0.0), StepConfig(tau=0.5), 2.0, 3.0, 2)
+        traj = integrate(p, 0.0, StepConfig(tau=0.5), 2.0, 3.0, 2)
         assert traj.rows == [[0.0, 2.0, 3.0, 0.0], [0.5, 3.5, 3.0, 0.0], [1.0, 5.0, 3.0, 0.0]]
         assert traj.times == (0.0, 0.5, 1.0)
         assert traj.states[1] == ModalState(k=1, t=0.5, d=(3.5, 3.0, 0.0))
@@ -258,7 +267,7 @@ class TestTrajectory:
 
 def test_trajectory_csv_export():
     p = derive(rho_spec(0.5))
-    traj = integrate(p, OscillatorMode(0.0), StepConfig(tau=1.0), 1.0, 1.0, 2)
+    traj = integrate(p, 0.0, StepConfig(tau=1.0), 1.0, 1.0, 2)
     buf = io.StringIO()
     traj.write_csv(buf)
     lines = buf.getvalue().strip().splitlines()
@@ -300,14 +309,18 @@ class TestArrayPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # these alphas also fail the stability conditions
             with pytest.raises(SingularStepError, match=f"at lambda = {lam!r}"):
-                _StepPlan(p, OscillatorMode(np.array([1.0, lam, 3.0])), StepConfig(tau=tau))
+                _plan(p, np.array([1.0, lam, 3.0]), StepConfig(tau=tau))
 
     def test_negative_lambda_rejected(self):
         p = derive(rho_spec(0.5))
         with pytest.raises(ValueError, match="lambda = -2.0 < 0"):
-            _StepPlan(p, OscillatorMode(np.array([1.0, -2.0, -3.0])), StepConfig(tau=0.1))
-        cfg = StepConfig(tau=0.1, allow_negative_lambda=True)
-        _StepPlan(p, OscillatorMode(np.array([1.0, -2.0])), cfg)
+            _plan(p, np.array([1.0, -2.0, -3.0]), StepConfig(tau=0.1))
+
+    def test_overflowing_divisor_names_the_mode(self):
+        # lambda*tau^2 overflows for the second mode only, without a numpy warning
+        p = derive(rho_spec(0.5, 0.5))
+        with pytest.raises(OverflowError, match=r"block 1 divisor .* at lambda = 1e\+300, tau = 1e\+60"):
+            _plan(p, np.array([1.0, 1e300, 1e305]), StepConfig(tau=1e60))
 
 
 def _reference_advance(p, lam, cfg, d):
@@ -364,23 +377,23 @@ class TestGeneratedStep:
         rng = np.random.default_rng(k)
         p = derive(DissipationSpec(k, tuple(rng.uniform(0.0, 1.0, k))))
         cfg = StepConfig(tau=0.07, variant=variant)
-        array_plan = _StepPlan(p, OscillatorMode(self.LAMS), cfg)
-        scalar_plans = [_StepPlan(p, OscillatorMode(lam), cfg) for lam in self.LAMS.tolist()]
+        array_plan = _plan(p, self.LAMS, cfg)
+        scalar_plans = [_plan(p, lam, cfg) for lam in self.LAMS.tolist()]
         for D in self.states(k, rng):
             d = list(D)
-            _assert_same_bits(array_plan.advance(d), _reference_advance(p, self.LAMS, cfg, d))
+            _assert_same_bits(array_plan(d), _reference_advance(p, self.LAMS, cfg, d))
             for m, (lam, plan) in enumerate(zip(self.LAMS.tolist(), scalar_plans)):
                 d = tuple(D[:, m].tolist())
-                _assert_same_bits(plan.advance(d), _reference_advance(p, lam, cfg, d))
+                _assert_same_bits(plan(d), _reference_advance(p, lam, cfg, d))
 
     def test_one_code_object_per_structure(self):
         p = derive(rho_spec(0.5, 0.5))
-        a = _StepPlan(p, OscillatorMode(3.0), StepConfig(tau=0.1))
-        b = _StepPlan(p, OscillatorMode(np.array([1.0, 2.0])), StepConfig(tau=0.25))
-        c = _StepPlan(p, OscillatorMode(3.0), StepConfig(tau=0.1, variant=Variant.AS_PRINTED))
-        assert a.advance.__code__ is b.advance.__code__
-        assert a.advance.__code__ is not c.advance.__code__
-        assert a.advance.__globals__["q0"] != b.advance.__globals__["q0"][0]
+        a = _plan(p, 3.0, StepConfig(tau=0.1))
+        b = _plan(p, np.array([1.0, 2.0]), StepConfig(tau=0.25))
+        c = _plan(p, 3.0, StepConfig(tau=0.1, variant=Variant.AS_PRINTED))
+        assert a.__code__ is b.__code__
+        assert a.__code__ is not c.__code__
+        assert a.__globals__["q0"] != b.__globals__["q0"][0]
 
     def test_source_holds_no_numbers_but_the_sums_int_zero(self):
         src = galpha.stepper._advance_source(3, Variant.AS_PRINTED)
