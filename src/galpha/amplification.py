@@ -28,8 +28,6 @@ from .stepper import ModalState, Variant
 
 @dataclass(frozen=True)
 class AmplificationMatrix:
-    k: int
-    sigma: float
     G: np.ndarray
 
 
@@ -131,7 +129,7 @@ def amplification_matrix(
 ) -> AmplificationMatrix:
     """G = A^-1 B via dense LU with partial pivoting (columnwise solve)."""
     A, B = assemble_step_matrices(p, sigma, variant)
-    return AmplificationMatrix(k=p.k, sigma=float(sigma), G=_solve(p, sigma, A, B))
+    return AmplificationMatrix(G=_solve(p, sigma, A, B))
 
 
 def oracle_step(
@@ -152,12 +150,12 @@ def scale_state(s: ModalState, tau: float) -> np.ndarray:
     return np.array([tau**j * s.d[j] for j in range(3 * s.k)])
 
 
-def unscale_state(v, tau: float, k: int, t: float = 0.0) -> ModalState:
-    """Exact inverse of scale_state (round trip is the identity)."""
+def unscale_state(v, tau: float, k: int) -> ModalState:
+    """Exact inverse of scale_state (round trip is the identity), at t = 0."""
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     v = np.asarray(v, dtype=float)
-    return ModalState(k=k, t=t, d=tuple(v[j] / tau**j for j in range(3 * k)))
+    return ModalState(k=k, t=0.0, d=tuple(v[j] / tau**j for j in range(3 * k)))
 
 
 def diagonal_blocks(p: SchemeParameters, sigma) -> np.ndarray:

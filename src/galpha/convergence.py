@@ -20,26 +20,19 @@ from .spectral import char_coeffs_3x3
 from .stepper import StepConfig, Variant, _csv_rows, integrate
 
 ROUNDOFF_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class StudyRow:
-    n_steps: int
-    tau: float
-    error_u: float
-    error_v: float
+RECURRENCE_TERMS = 50
 
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
+    """One study; each row is (n_steps, tau, error_u, error_v)."""
+
     k: int
     rho: tuple[float, ...] | None
     variant: Variant
     lam: float
-    u0: float
-    v0: float
     T: float
-    rows: tuple[StudyRow, ...]
+    rows: tuple[tuple[int, float, float, float], ...]
     fitted_order_u: float
     fitted_order_v: float
     discarded: int
@@ -51,10 +44,7 @@ class ConvergenceStudy:
             + [f"rho{i + 1}" for i in range(len(rho))]
             + ["n_steps", "tau", "error_u", "error_v"]
         )
-        rows = [
-            [self.k, self.variant.value, *rho, r.n_steps, r.tau, r.error_u, r.error_v]
-            for r in self.rows
-        ]
+        rows = [[self.k, self.variant.value, *rho, *r] for r in self.rows]
         fh.write(_csv_rows([header, *rows], str))
 
     def summary_dict(self) -> dict:
@@ -121,47 +111,36 @@ def run_convergence(
     for n, tau in grid:
         cfg = StepConfig(tau=tau, variant=variant)
         _, u, v, *_ = integrate(p, lam, cfg, u0, v0, n).rows[-1]
-        eu = abs(u - ue)
-        ev = abs(v - ve)
-        rows.append(StudyRow(n_steps=n, tau=tau, error_u=eu, error_v=ev))
+        rows.append((n, tau, abs(u - ue), abs(v - ve)))
+    taus, errors_u, errors_v = np.array(rows)[:, 1:].T
 
-    def _fit(getter):
-        pts = [(r.tau, getter(r)) for r in rows if getter(r) >= ROUNDOFF_FLOOR]
-        if len(pts) < 2:
+    def _fit(errors):
+        keep = errors >= ROUNDOFF_FLOOR
+        if keep.sum() < 2:
             return float("nan")
-        return fit_order([t for t, _ in pts], [e for _, e in pts])
+        return fit_order(taus[keep], errors[keep])
 
-    discarded = sum(1 for r in rows if r.error_u < ROUNDOFF_FLOOR)
     return ConvergenceStudy(
         k=p.k,
         rho=p.rho.rho if p.rho is not None else None,
         variant=variant,
         lam=lam,
-        u0=u0,
-        v0=v0,
         T=T,
         rows=tuple(rows),
-        fitted_order_u=_fit(lambda r: r.error_u),
-        fitted_order_v=_fit(lambda r: r.error_v),
-        discarded=discarded,
+        fitted_order_u=_fit(errors_u),
+        fitted_order_v=_fit(errors_v),
+        discarded=int((errors_u < ROUNDOFF_FLOOR).sum()),
     )
 
 
-def verify_recurrence(
-    p: SchemeParameters,
-    sigma: float,
-    component: int,
-    n_terms: int = 50,
-) -> float:
+def verify_recurrence(p: SchemeParameters, sigma: float, component: int) -> float:
     """Max relative residual of the 4-term invariant recurrence
 
         w_{n+1} - G1*w_n + G2*w_{n-1} - G3*w_{n-2} = 0
 
     for the scalar sequence read off one component of repeated diagonal-
     block applications (Cayley-Hamilton on the 3x3 block).  Normalized
-    by the largest |w_n| seen."""
-    if n_terms < 4:
-        raise ValueError("need at least 4 terms")
+    by the largest |w_n| seen, over RECURRENCE_TERMS + 1 terms."""
     k = p.k
     if not 0 <= component < 3 * k:
         raise ValueError(f"component must be in [0, {3 * k})")
@@ -170,7 +149,7 @@ def verify_recurrence(
     g1, g2, g3 = char_coeffs_3x3(blk)
     vec = np.ones(3)
     seq = []
-    for _ in range(n_terms):
+    for _ in range(RECURRENCE_TERMS):
         seq.append(vec[idx])
         vec = blk @ vec
     seq.append(vec[idx])

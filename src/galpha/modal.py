@@ -119,9 +119,14 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def jacobi_eig(K, tol: float = 1e-12, max_sweeps: int = 100) -> ModalDecomposition:
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
+
+
+def jacobi_eig(K) -> ModalDecomposition:
     """Round-robin cyclic Jacobi sweeps until the off-diagonal Frobenius
-    norm drops below tol * ||K||_F.  Adequate and robust at desk scale."""
+    norm drops below JACOBI_TOL * ||K||_F; raises JacobiConvergenceError
+    after JACOBI_MAX_SWEEPS sweeps.  Adequate and robust at desk scale."""
     A = _symmetric(K)
     n = A.shape[0]
     Q = np.eye(n)
@@ -134,11 +139,11 @@ def jacobi_eig(K, tol: float = 1e-12, max_sweeps: int = 100) -> ModalDecompositi
         return np.linalg.norm(M - np.diag(np.diag(M)))
 
     sweeps = 0
-    while off(A) > tol * norm:
-        if sweeps >= max_sweeps:
+    while off(A) > JACOBI_TOL * norm:
+        if sweeps >= JACOBI_MAX_SWEEPS:
             raise JacobiConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal {off(A):.3e}, target {tol * norm:.3e})"
+                f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps "
+                f"(off-diagonal {off(A):.3e}, target {JACOBI_TOL * norm:.3e})"
             )
         for i, j in schedule:
             aij = A[i, j]
@@ -172,26 +177,35 @@ def integrate_system(
     n_steps: int,
 ) -> SystemTrajectory:
     """Transform to modal coordinates, advance every mode with one step
-    plan over the array of modal lambdas, transform back."""
+    plan over the array of modal lambdas, transform back.  Raises
+    OverflowError naming lambda and tau if a modal coordinate or the
+    result is not finite."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dec = jacobi_eig(sys.K)
-    y0 = dec.Q.T @ sys.u0
-    w0 = dec.Q.T @ sys.v0
-    advance = _plan(p, dec.lambdas, cfg)
-    # the exact initial derivatives of each mode, as 3k arrays over modes
-    d = list(np.array([
-        init_state(lam, y, w, p.k).d
-        for lam, y, w in zip(dec.lambdas.tolist(), y0.tolist(), w0.tolist())
-    ]).T)
-    U = np.empty((n_steps + 1, sys.n))
-    V = np.empty((n_steps + 1, sys.n))
-    U[0], V[0] = d[0], d[1]
-    for i in range(1, n_steps + 1):
-        d = advance(d)
-        U[i], V[i] = d[0], d[1]
-    return SystemTrajectory(
-        times=np.arange(n_steps + 1) * cfg.tau,
-        displacements=U @ dec.Q.T,
-        velocities=V @ dec.Q.T,
-    )
+
+    def overflow(lam):
+        return OverflowError(f"the state is not finite at lambda = {lam!r}, tau = {cfg.tau!r}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0 = dec.Q.T @ sys.u0
+        w0 = dec.Q.T @ sys.v0
+        bad = ~(np.isfinite(y0) & np.isfinite(w0))
+        if bad.any():
+            raise overflow(float(dec.lambdas[bad.argmax()]))
+        advance = _plan(p, dec.lambdas, cfg)
+        # the exact initial derivatives of each mode, as 3k arrays over modes
+        d = list(np.array([
+            init_state(lam, y, w, p.k).d
+            for lam, y, w in zip(dec.lambdas.tolist(), y0.tolist(), w0.tolist())
+        ]).T)
+        U = np.empty((n_steps + 1, sys.n))
+        V = np.empty((n_steps + 1, sys.n))
+        U[0], V[0] = d[0], d[1]
+        for i in range(1, n_steps + 1):
+            d = advance(d)
+            U[i], V[i] = d[0], d[1]
+        U, V = U @ dec.Q.T, V @ dec.Q.T
+    if not (np.isfinite(U).all() and np.isfinite(V).all()):
+        raise overflow(dec.lambdas.tolist())
+    return SystemTrajectory(times=np.arange(n_steps + 1) * cfg.tau, displacements=U, velocities=V)

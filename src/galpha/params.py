@@ -23,7 +23,6 @@ All objects are immutable value types; the functions are pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -83,9 +82,6 @@ class SchemeParameters:
             "beta": list(self.beta),
             "gamma": list(self.gamma),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 @dataclass(frozen=True)

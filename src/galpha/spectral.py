@@ -65,6 +65,7 @@ class Spectrum:
 
 # A sweep is solved as one array, so its memory grows with the point
 # count: at ~420 B per 3x3 block, 1e5 sigmas peak near 42 MB per block.
+# A stability map holds its points' block rows whole, so it has the same cap.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -260,9 +261,11 @@ def classify_stability(
 
 
 def check_map_names(k: int, fixed: dict, x_axis: ParameterAxis, y_axis: ParameterAxis) -> None:
-    """Reject a map whose axes coincide, whose axis or fixed names are
-    not among "alpha1".."alpha{k}" and "alpha_f", or that leaves one of
-    them neither fixed nor varied."""
+    """Reject a map of more than MAX_SWEEP_POINTS points, whose axes
+    coincide, whose axis or fixed names are not among "alpha1".."alpha{k}"
+    and "alpha_f", or that leaves one of them neither fixed nor varied."""
+    if x_axis.n * y_axis.n > MAX_SWEEP_POINTS:
+        raise ValueError(f"need at most {MAX_SWEEP_POINTS} map points, got {x_axis.n * y_axis.n}")
     if x_axis.name == y_axis.name:
         raise ValueError("axes must vary distinct parameters")
     names = [f"alpha{i + 1}" for i in range(k)] + ["alpha_f"]

@@ -303,7 +303,8 @@ def integrate(
     n_steps: int,
 ) -> Trajectory:
     """n_steps uniform steps from the exact initial state; n_steps+1
-    rows [t_i, *d] at t_i = i*tau."""
+    rows [t_i, *d] at t_i = i*tau.  Raises OverflowError naming lambda
+    and tau if the state overflows from finite u0 and v0."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     advance = _plan(p, lam, cfg)
@@ -315,4 +316,8 @@ def integrate(
         d = advance(d)
         # times are exactly i*tau, so long runs do not drift
         append([i * tau, *d])
+    # The step divides only by finite divisors, so an entry that is not
+    # finite stays so to the last row.
+    if not all(map(math.isfinite, d)) and math.isfinite(u0) and math.isfinite(v0):
+        raise OverflowError(f"the state is not finite at lambda = {float(lam)!r}, tau = {tau!r}")
     return Trajectory._of_rows(p.k, rows)

@@ -253,6 +253,9 @@ class TestFlagValidation:
         ("--vary", "alpha_f:0.5:1:3", "--vary", "alpha2:1:2:3"),
         ("--fix", "alpha1=2", "--vary", "alpha_f:0.5:1:3", "--vary", "alpha2:1:2:3",
          "--sigma-points", "100001"),
+        # 317 x 317 = 100 489 map points (once run to exit 0 in about 3 s)
+        ("--fix", "alpha1=2", "--vary", "alpha_f:0.5:1:317", "--vary", "alpha2:1:2:317",
+         "--sigma-points", "2"),
     ])
     def test_out_of_domain_map_exits_2(self, tmp_path, capsys, flags):
         code, out, _ = run_cli(
@@ -260,6 +263,7 @@ class TestFlagValidation:
         )
         assert code == 2
         assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("T, steps", [("1", "8,4,16"), ("-1", "8,16,32"), ("1", "0,1,2")])
     def test_out_of_domain_converge_exits_2(self, tmp_path, capsys, T, steps):
@@ -300,6 +304,12 @@ class TestFlagValidation:
     # lambda^2 overflows Python's float ** in the initial state (once an errno tuple)
     ("simulate", "--k", "2", "--rho", "0.5,0.5", "--lambda", "1e300", "--u0", "1", "--v0", "0",
      "--tau", "1", "--steps", "3"),
+    # the state overflows from finite coefficients (once NaN rows, exit 0)
+    ("simulate", "--k", "1", "--rho", "0.5", "--lambda", "1", "--u0", "1.7e308", "--v0", "1.7e308",
+     "--tau", "0.5", "--steps", "3"),
+    # the same in a convergence study (once NaN orders and NaN tokens in the JSON, exit 0)
+    ("converge", "--k", "1", "--rho", "0.5", "--lambda", "1", "--u0", "1.7e308", "--v0", "1.7e308",
+     "--T", "1", "--steps", "1,2,4"),
     # lambda^2 * u0 overflows in the initial state (once NaN rows, exit 0)
     ("simulate", "--k", "2", "--rho", "0.5,0.5", "--lambda", "1e150", "--u0", "1e10", "--v0", "0",
      "--tau", "1e-3", "--steps", "2"),

@@ -118,17 +118,20 @@ class TestJacobiEig:
         dec = jacobi_eig(np.diag([3.0, 1.0, 2.0]))
         assert dec.lambdas == pytest.approx([1.0, 2.0, 3.0])
 
-    def test_convergence_failure_raises(self):
+    def test_convergence_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(galpha.modal, "JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(JacobiConvergenceError):
-            jacobi_eig(K_2DOF, max_sweeps=0)
+            jacobi_eig(K_2DOF)
+        monkeypatch.setattr(galpha.modal, "JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(JacobiConvergenceError):
-            jacobi_eig(random_spd(np.random.default_rng(5), 9), max_sweeps=1)
+            jacobi_eig(random_spd(np.random.default_rng(5), 9))
 
-    def test_sweep_count(self):
+    def test_sweep_count(self, monkeypatch):
         assert jacobi_eig(np.diag([3.0, 1.0, 2.0])).sweeps == 0
         rng = np.random.default_rng(43)
         M = rng.normal(size=(6, 6))
-        assert 1 <= jacobi_eig(M + M.T, max_sweeps=20).sweeps <= 20
+        monkeypatch.setattr(galpha.modal, "JACOBI_MAX_SWEEPS", 20)
+        assert 1 <= jacobi_eig(M + M.T).sweeps <= 20
 
     def test_n80_matches_eigvalsh(self):
         rng = np.random.default_rng(80)
@@ -252,6 +255,21 @@ class TestIntegrateSystem:
         assert np.array_equal(traj.times, np.array(ref.times))
         assert np.array_equal(traj.displacements, U @ dec.Q.T)
         assert np.array_equal(traj.velocities, V @ dec.Q.T)
+
+    @pytest.mark.parametrize("u0, v0, modes", [
+        # the second modal coordinate overflows (once NaN rows, or a RuntimeWarning)
+        ((1.7e308, -1.7e308), (0.0, 0.0), [1]),
+        # finite modal coordinates whose steps overflow
+        ((1.2e308, 1.2e308), (1.2e308, 1.2e308), [0, 1]),
+    ])
+    def test_overflowing_state_names_lambda(self, u0, v0, modes):
+        p = derive(DissipationSpec(1, (0.5,)))
+        lambdas = jacobi_eig(K_2DOF).lambdas[modes].tolist()
+        lam = lambdas[0] if len(modes) == 1 else lambdas
+        sys_ = SymmetricSystem(K=K_2DOF, u0=u0, v0=v0)
+        with pytest.raises(OverflowError) as exc:
+            integrate_system(sys_, p, StepConfig(tau=0.5), 3)
+        assert f"at lambda = {lam!r}, tau = 0.5" in str(exc.value)
 
     def test_unstable_parameters_warn_once(self):
         p = from_alphas(2, (0.9, 1.0), 0.6)

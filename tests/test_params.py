@@ -128,7 +128,7 @@ def test_stability_conditions_alpha_f_violation():
 
 def test_json_serialization_round_trip():
     p = derive(DissipationSpec(2, (0.5, 0.5)))
-    data = json.loads(p.to_json())
+    data = json.loads(json.dumps(p.to_json_dict()))
     assert set(data) == {"k", "rho", "alpha", "alpha_f", "beta", "gamma"}
     assert data["k"] == 2
     assert data["rho"] == [0.5, 0.5]

@@ -209,6 +209,10 @@ class TestStabilityMap:
             ParameterAxis("alpha1", 0, 1, 1)
         with pytest.raises(ValueError, match="neither fixed nor varied"):
             stability_map(2, {}, ax, ParameterAxis("alpha1", 0, 1, 3))
+        # rejected before the grid is allocated (once a numpy memory error)
+        huge = ParameterAxis("alpha_f", 0, 1, 3_000_000), ParameterAxis("alpha1", 0, 1, 3_000_000)
+        with pytest.raises(ValueError, match="map points"):
+            stability_map(1, {}, *huge)
 
     def test_points_equal_one_point_classify(self):
         x_axis, y_axis = ParameterAxis("alpha_f", 0.0, 2.0, 6), ParameterAxis("alpha1", 0.0, 2.0, 5)

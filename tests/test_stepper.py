@@ -68,7 +68,7 @@ class TestStepK1:
         s = init_state(lam, 1.0, 0.0, 1)
         s1 = step(p, lam, StepConfig(tau=tau), s)
         w1 = oracle_step(p, lam * tau * tau, scale_state(s, tau))
-        expected = unscale_state(w1, tau, 1, t=tau)
+        expected = unscale_state(w1, tau, 1)
         assert s1.d == pytest.approx(expected.d, rel=1e-12)
 
     def test_second_order_tau_halving(self):
@@ -96,7 +96,7 @@ class TestStepHighOrder:
         s = init_state(lam, 1.0, 0.0, 2)
         s1 = step(p, lam, StepConfig(tau=tau), s)
         w1 = oracle_step(p, lam * tau * tau, scale_state(s, tau))
-        expected = unscale_state(w1, tau, 2, t=tau)
+        expected = unscale_state(w1, tau, 2)
         assert s1.d == pytest.approx(expected.d, rel=1e-11)
 
     @pytest.mark.parametrize("variant", [Variant.FULL_TAYLOR, Variant.AS_PRINTED])
