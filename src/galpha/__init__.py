@@ -59,7 +59,6 @@ from .modal import (
     load_system,
 )
 from .errors import (
-    JacobiConvergenceError,
     SingularStepError,
     UnsupportedParametersError,
 )

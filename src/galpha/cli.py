@@ -6,7 +6,8 @@ of key=value pairs.  Output files are named by subcommand plus a short
 hash of the parsed flags, so re-running with identical flags reproduces
 byte-identical files and different flags never silently overwrite.
 
-Exit codes: 0 success, 2 flag errors, 1 numerical errors.
+Exit codes: 0 success, 2 flag errors, 1 numerical errors and an
+unusable output directory.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ def run(argv) -> int:
         # Every subcommand takes its scheme from --rho, except stability-map,
         # which takes the --fix values parsed above.
         summary = args.func(args, fixed if spec is None else derive(spec))
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(summary)

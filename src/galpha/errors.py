@@ -14,7 +14,3 @@ class UnsupportedParametersError(ValueError):
     """Raised when an operation needs rho-derived scheme parameters but the
     given parameter set was constructed from raw alpha values."""
 
-
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the cyclic Jacobi eigensolver fails to reach the target
-    off-diagonal norm within the sweep budget."""

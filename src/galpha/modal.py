@@ -1,13 +1,13 @@
 """Modal front-end for symmetric systems u'' + K u = 0 (unit mass).
 
-A Jacobi eigensolver diagonalizes K.  Each sweep runs the round-robin
-(Brent-Luk) ordering: rounds of disjoint index pairs that together
-cover every pair once, with one rotation matrix per round that applies
-all of that round's rotations at once.  Each mode is then an
+numpy's ``eigh`` (LAPACK) diagonalizes K.  Each mode is then an
 independent scalar oscillator; one step plan, built for the array of
 modal lambdas, advances every mode together, with each mode's numbers
-bit-identical to a scalar ``integrate`` of that mode.  The results are
-rotated back to physical coordinates.
+bit-identical to a scalar ``integrate`` of that mode.  A modal lambda
+within the decomposition's backward error of zero, |lambda| <=
+n * eps * max|lambda|, is integrated as a rigid-body mode (lambda = 0),
+so a semi-definite K does not fail on a round-off negative lambda.  The
+results are rotated back to physical coordinates.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JacobiConvergenceError
 from .params import SchemeParameters
 from .stepper import StepConfig, _csv_rows, _plan, init_state
 
@@ -70,7 +69,6 @@ class SymmetricSystem:
 class ModalDecomposition:
     lambdas: np.ndarray  # ascending
     Q: np.ndarray  # orthogonal, columns are eigenvectors
-    sweeps: int = 0  # Jacobi sweeps run; the default lets callers build one from (lambdas, Q)
 
 
 @dataclass(frozen=True)
@@ -97,77 +95,14 @@ def load_system(path) -> SymmetricSystem:
     )
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Circle-method schedule of one Jacobi sweep over an n x n matrix:
-    index pairs (i, j), i < j, split into rounds of disjoint pairs that
-    together cover every pair exactly once.  An odd n is padded with a
-    dummy index whose pairs are dropped, so a sweep has n - 1 rounds for
-    even n and n for odd n."""
-    m = n + n % 2
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [
-            (min(a, b), max(a, b))
-            for a, b in zip(players[: m // 2], players[::-1])
-            if max(a, b) < n
-        ]
-        if pairs:
-            i, j = np.array(pairs).T
-            rounds.append((i, j))
-        players = [players[0], players[-1], *players[1:-1]]
-    return rounds
-
-
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
-
 def jacobi_eig(K) -> ModalDecomposition:
-    """Round-robin cyclic Jacobi sweeps until the off-diagonal Frobenius
-    norm drops below JACOBI_TOL * ||K||_F; raises JacobiConvergenceError
-    after JACOBI_MAX_SWEEPS sweeps.  Adequate and robust at desk scale."""
-    A = _symmetric(K)
-    n = A.shape[0]
-    Q = np.eye(n)
-    norm = np.linalg.norm(A, "fro") or 1.0
-    schedule = _round_robin(n)
+    """Symmetric eigendecomposition of K by LAPACK (``np.linalg.eigh``):
+    ascending lambdas and orthonormal Q, backward stable.
 
-    def off(M):
-        # norm of the strictly off-diagonal part, computed directly
-        # (subtracting diagonal sums of squares cancels catastrophically)
-        return np.linalg.norm(M - np.diag(np.diag(M)))
-
-    sweeps = 0
-    while off(A) > JACOBI_TOL * norm:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise JacobiConvergenceError(
-                f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-                f"(off-diagonal {off(A):.3e}, target {JACOBI_TOL * norm:.3e})"
-            )
-        for i, j in schedule:
-            aij = A[i, j]
-            skip = aij == 0.0
-            theta = 0.5 * (A[j, j] - A[i, i]) / np.where(skip, 1.0, aij)
-            # theta^2 would overflow past 1e150; use the asymptotic root there
-            big = np.abs(theta) > 1e150
-            th = np.where(big, 1.0, theta)
-            t = np.sign(th) / (np.abs(th) + np.sqrt(th * th + 1.0))
-            t[big] = 0.5 / theta[big]
-            t[theta == 0.0] = 1.0
-            t[skip] = 0.0  # a zero entry gets the identity rotation
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            R = np.eye(n)
-            R[i, i] = R[j, j] = c
-            R[i, j] = s
-            R[j, i] = -s
-            A = R.T @ A @ R
-            Q = Q @ R
-        sweeps += 1
-    lam = np.diag(A).copy()
-    order = np.argsort(lam)
-    return ModalDecomposition(lambdas=lam[order], Q=Q[:, order], sweeps=sweeps)
+    Not a Jacobi iteration; the name is kept because
+    bench/ops.py::capture_decompositions and bench/test_bench.py wrap
+    galpha.modal.jacobi_eig by it."""
+    return ModalDecomposition(*np.linalg.eigh(_symmetric(K)))
 
 
 def integrate_system(
@@ -177,12 +112,14 @@ def integrate_system(
     n_steps: int,
 ) -> SystemTrajectory:
     """Transform to modal coordinates, advance every mode with one step
-    plan over the array of modal lambdas, transform back.  Raises
-    OverflowError naming lambda and tau if a modal coordinate or the
-    result is not finite."""
+    plan over the array of modal lambdas (rigid-body modes at 0),
+    transform back.  Raises OverflowError naming lambda and tau if a
+    modal coordinate or the result is not finite."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dec = jacobi_eig(sys.K)
+    bound = sys.n * np.finfo(float).eps * np.max(np.abs(dec.lambdas))
+    lambdas = np.where(np.abs(dec.lambdas) <= bound, 0.0, dec.lambdas)
 
     def overflow(lam):
         return OverflowError(f"the state is not finite at lambda = {lam!r}, tau = {cfg.tau!r}")
@@ -192,12 +129,12 @@ def integrate_system(
         w0 = dec.Q.T @ sys.v0
         bad = ~(np.isfinite(y0) & np.isfinite(w0))
         if bad.any():
-            raise overflow(float(dec.lambdas[bad.argmax()]))
-        advance = _plan(p, dec.lambdas, cfg)
+            raise overflow(float(lambdas[bad.argmax()]))
+        advance = _plan(p, lambdas, cfg)
         # the exact initial derivatives of each mode, as 3k arrays over modes
         d = list(np.array([
             init_state(lam, y, w, p.k).d
-            for lam, y, w in zip(dec.lambdas.tolist(), y0.tolist(), w0.tolist())
+            for lam, y, w in zip(lambdas.tolist(), y0.tolist(), w0.tolist())
         ]).T)
         U = np.empty((n_steps + 1, sys.n))
         V = np.empty((n_steps + 1, sys.n))
@@ -207,5 +144,5 @@ def integrate_system(
             U[i], V[i] = d[0], d[1]
         U, V = U @ dec.Q.T, V @ dec.Q.T
     if not (np.isfinite(U).all() and np.isfinite(V).all()):
-        raise overflow(dec.lambdas.tolist())
+        raise overflow(lambdas.tolist())
     return SystemTrajectory(times=np.arange(n_steps + 1) * cfg.tau, displacements=U, velocities=V)

@@ -295,6 +295,16 @@ class TestFlagValidation:
         assert list(tmp_path.iterdir()) == []
 
 
+def test_unusable_out_exits_1(tmp_path, capsys):
+    # once a FileExistsError traceback out of run
+    out = tmp_path / "file"
+    out.write_text("")
+    code, stdout, err = run_cli(capsys, "params", "--k", "1", "--rho", "0.5", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     # lambda*tau^2 overflows in the step divisor (once NaN rows, exit 0)
     ("simulate", "--k", "1", "--rho", "0.5", "--lambda", "1e200", "--u0", "1", "--v0", "0",

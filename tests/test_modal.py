@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import json
 import math
 import warnings
@@ -11,7 +10,6 @@ import pytest
 import galpha.modal
 from galpha import (
     DissipationSpec,
-    JacobiConvergenceError,
     StepConfig,
     SymmetricSystem,
     SystemTrajectory,
@@ -23,7 +21,6 @@ from galpha import (
     jacobi_eig,
     load_system,
 )
-from galpha.modal import _round_robin
 
 K_2DOF = np.array([[2.0, -1.0], [-1.0, 2.0]])  # modes lambda = 1, 3
 
@@ -118,21 +115,6 @@ class TestJacobiEig:
         dec = jacobi_eig(np.diag([3.0, 1.0, 2.0]))
         assert dec.lambdas == pytest.approx([1.0, 2.0, 3.0])
 
-    def test_convergence_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(galpha.modal, "JACOBI_MAX_SWEEPS", 0)
-        with pytest.raises(JacobiConvergenceError):
-            jacobi_eig(K_2DOF)
-        monkeypatch.setattr(galpha.modal, "JACOBI_MAX_SWEEPS", 1)
-        with pytest.raises(JacobiConvergenceError):
-            jacobi_eig(random_spd(np.random.default_rng(5), 9))
-
-    def test_sweep_count(self, monkeypatch):
-        assert jacobi_eig(np.diag([3.0, 1.0, 2.0])).sweeps == 0
-        rng = np.random.default_rng(43)
-        M = rng.normal(size=(6, 6))
-        monkeypatch.setattr(galpha.modal, "JACOBI_MAX_SWEEPS", 20)
-        assert 1 <= jacobi_eig(M + M.T).sweeps <= 20
-
     def test_n80_matches_eigvalsh(self):
         rng = np.random.default_rng(80)
         M = rng.normal(size=(80, 80))
@@ -147,16 +129,6 @@ class TestJacobiEig:
         K = spring_chain(12)
         assert_eigendecomposition(K, jacobi_eig(K))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 27])
-    def test_round_robin_covers_every_pair_once(self, n):
-        rounds = _round_robin(n)
-        assert len(rounds) == (n - 1 if n % 2 == 0 else n if n > 1 else 0)
-        for i, j in rounds:
-            assert np.all(i < j)
-            assert len(set(i.tolist()) | set(j.tolist())) == 2 * len(i)  # disjoint
-        pairs = sorted((a, b) for i, j in rounds for a, b in zip(i.tolist(), j.tolist()))
-        assert pairs == list(itertools.combinations(range(n), 2))
-
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eig([[1.0, 2.0], [0.0, 1.0]])
@@ -164,6 +136,12 @@ class TestJacobiEig:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             jacobi_eig([[2.0, math.nan], [math.nan, 2.0]])
+
+    @pytest.mark.parametrize("scale", [1e300, 1e160])
+    def test_overflowing_norm_matches_eigvalsh(self, scale):
+        # once K's diagonal after 0 sweeps, with numpy overflow warnings
+        K = np.array([[1.0, 0.5], [0.5, 1.0]]) * scale
+        np.testing.assert_allclose(jacobi_eig(K).lambdas, np.linalg.eigvalsh(K), rtol=1e-14)
 
 
 class TestLoadSystem:
@@ -279,6 +257,20 @@ class TestIntegrateSystem:
             integrate_system(sys_, p, StepConfig(tau=0.1), 20)
         assert len(caught) == 1
         assert "alpha_1" in str(caught[0].message)
+
+    @pytest.mark.parametrize("K", [
+        # the zero mode once came out at -2.0e-17 (Jacobi) and at -9.7e-17 (eigh)
+        [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]],
+        [[1.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, 0.0], [0.0, -1.0, 2.0, -1.0], [0.0, 0.0, -1.0, 1.0]],
+    ])
+    def test_free_free_chain_moves_rigidly(self, K):
+        n = len(K)
+        sys_ = SymmetricSystem(K=K, u0=np.ones(n), v0=np.full(n, 0.5))
+        p = derive(DissipationSpec(2, (0.5, 0.5)))
+        traj = integrate_system(sys_, p, StepConfig(tau=0.1), 20)
+        exact = 1.0 + 0.5 * traj.times[:, None]
+        assert np.max(np.abs(traj.displacements - exact)) <= 1e-12
+        assert np.max(np.abs(traj.velocities - 0.5)) <= 1e-12
 
 
 def test_csv_matches_csv_writer():
