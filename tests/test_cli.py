@@ -305,6 +305,16 @@ def test_unusable_out_exits_1(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_out_under_a_file_exits_1(tmp_path, capsys):
+    # mkdir under a regular file raises NotADirectoryError
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    code, stdout, err = run_cli(capsys, "params", "--k", "1", "--rho", "0.5", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     # lambda*tau^2 overflows in the step divisor (once NaN rows, exit 0)
     ("simulate", "--k", "1", "--rho", "0.5", "--lambda", "1e200", "--u0", "1", "--v0", "0",

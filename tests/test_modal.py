@@ -129,6 +129,12 @@ class TestJacobiEig:
         K = spring_chain(12)
         assert_eigendecomposition(K, jacobi_eig(K))
 
+    def test_repeated_eigenvalues_orthonormal_q(self):
+        # lambda = 2 four times and 3 once
+        v = np.arange(1.0, 6.0) / np.linalg.norm(np.arange(1.0, 6.0))
+        K = 2.0 * np.eye(5) + np.outer(v, v)
+        assert_eigendecomposition(K, jacobi_eig(K))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eig([[1.0, 2.0], [0.0, 1.0]])
@@ -271,6 +277,29 @@ class TestIntegrateSystem:
         exact = 1.0 + 0.5 * traj.times[:, None]
         assert np.max(np.abs(traj.displacements - exact)) <= 1e-12
         assert np.max(np.abs(traj.velocities - 0.5)) <= 1e-12
+
+    @pytest.mark.parametrize("K", [
+        np.diag([-1e-10, 1.0]),
+        # the free-free chain shifted down: its zero mode at -1e-12
+        np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]) - 1e-12 * np.eye(3),
+    ])
+    def test_negative_mode_past_round_off_rejected(self, K):
+        n = len(K)
+        sys_ = SymmetricSystem(K=K, u0=np.ones(n), v0=np.zeros(n))
+        p = derive(DissipationSpec(2, (0.5, 0.5)))
+        with pytest.raises(ValueError, match="< 0 rejected"):
+            integrate_system(sys_, p, StepConfig(tau=0.1), 20)
+
+    def test_small_mode_past_round_off_kept(self):
+        # lambda = 1e-10 moves u by about 2e-10 from u0 + v0*t by t = 2
+        sys_ = SymmetricSystem(K=np.diag([1e-10, 1.0]), u0=[1.0, 0.0], v0=[0.5, 0.0])
+        p = derive(DissipationSpec(2, (0.5, 0.5)))
+        cfg = StepConfig(tau=0.1)
+        traj = integrate_system(sys_, p, cfg, 20)
+        ref = integrate(p, 1e-10, cfg, 1.0, 0.5, 20)
+        expected = [s.d[0] for s in ref.states]
+        assert np.max(np.abs(traj.displacements[:, 0] - expected)) <= 1e-15
+        assert np.max(np.abs(traj.displacements[:, 0] - (1.0 + 0.5 * traj.times))) > 1e-11
 
 
 def test_csv_matches_csv_writer():
