@@ -58,9 +58,6 @@ from .modal import (
     jacobi_eig,
     load_system,
 )
-from .errors import (
-    SingularStepError,
-    UnsupportedParametersError,
-)
+from .errors import SingularStepError
 
 __version__ = "0.1.0"

@@ -10,6 +10,10 @@ and alpha_2 where it gives alpha_1 terms in row 3); the derived rows are
 the ones consistent with the scheme and with the order-4 convergence
 test.
 
+``_block_solve`` is the one solve of G's diagonal blocks A_jj^-1 B_jj,
+for ``diagonal_blocks``, the spectral module and the error of a failed
+dense solve alike.
+
 This module is also the independent oracle for the stepper: one
 production step must equal oracle_step on the scaled state.
 """
@@ -34,8 +38,12 @@ class AmplificationMatrix:
 def _block_pair(alpha, beta, gamma, c, sigma) -> tuple[np.ndarray, np.ndarray]:
     """The 3x3 pair (A_jj, B_jj) of one block, the classic generalized-
     alpha pair, with implicit coupling c; the arguments are one row of
-    ``params.block_rows`` and sigma.  They broadcast; the pair has their
-    shape plus (3, 3)."""
+    ``params.block_rows`` and sigma, which must be finite and >= 0
+    (ValueError).  They broadcast; the pair has their shape plus (3, 3)."""
+    sigma = np.asarray(sigma, dtype=float)
+    inside = (sigma >= 0.0) & (sigma < np.inf)  # NaN fails both
+    if not inside.all():
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma.flat[inside.argmin()]}")
     alpha, beta, gamma, c, sigma = np.broadcast_arrays(alpha, beta, gamma, c, sigma)
     A = np.zeros(alpha.shape + (3, 3))
     B = np.zeros(alpha.shape + (3, 3))
@@ -66,8 +74,6 @@ def assemble_step_matrices(
     leading blocks' Taylor spans fill in.  For k = 1 the single block is
     the classic 3x3 pair with alpha_m in place of alpha_k.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     k = p.k
     n = 3 * k
     A = np.zeros((n, n))
@@ -104,23 +110,13 @@ def assemble_step_matrices(
     return A, B
 
 
-def _check_divisors(p: SchemeParameters, sigma: float) -> None:
-    """Name the offending block divisor when A is singular."""
-    for j in range(1, p.k + 1):
-        div = p.alpha[j - 1] + sigma * p.c[j - 1] * p.beta[j - 1]
-        if abs(div) < 1e-14 * max(abs(p.alpha[j - 1]), abs(sigma), 1.0):
-            raise SingularStepError(
-                f"block {j} divisor alpha_{j} + sigma*c*beta_{j} = {div} at sigma = {sigma}"
-            )
-
-
 def _solve(p: SchemeParameters, sigma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A^-1 B by dense LU with partial pivoting; a singular A raises
-    SingularStepError, naming the offending block divisor if there is one."""
+    SingularStepError, naming its singular block by ``diagonal_blocks``."""
     try:
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
-        _check_divisors(p, sigma)
+        diagonal_blocks(p, sigma)
         raise SingularStepError(f"step matrix A is singular at sigma = {sigma}")
 
 
@@ -158,23 +154,36 @@ def unscale_state(v, tau: float, k: int) -> ModalState:
     return ModalState(k=k, t=0.0, d=tuple(v[j] / tau**j for j in range(3 * k)))
 
 
+def _block_solve(rows, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one block solve: blocks A_jj^-1 B_jj (..., k, 3, 3) for block
+    rows (..., k, 4) as ``params.block_rows`` lays them out, at sigma
+    (...), and the (..., k) mask of blocks that are singular (an LU zero
+    pivot) or not finite, which come back as zeros."""
+    with np.errstate(over="ignore", invalid="ignore"):  # extreme schemes, masked below
+        A, B = _block_pair(*np.moveaxis(rows, -1, 0), sigma[..., None])
+        try:
+            G, bad = np.linalg.solve(A, B), False
+        except np.linalg.LinAlgError:
+            # slogdet runs the solve's LU: its sign is 0 exactly where that failed
+            sign, logdet = np.linalg.slogdet(A)
+            bad = (sign == 0.0) | ~np.isfinite(logdet) | ~np.isfinite(B).all(axis=(-2, -1))
+            A[bad], B[bad] = np.eye(3), 0.0
+            G = np.linalg.solve(A, B)
+    bad = bad | ~np.isfinite(G).all(axis=(-2, -1))
+    G[bad] = 0.0
+    return G, bad
+
+
 def diagonal_blocks(p: SchemeParameters, sigma) -> np.ndarray:
     """The k diagonal 3x3 blocks A_jj^-1 B_jj of G at every sigma, shape
     sigma.shape + (k, 3, 3); their spectra union to the spectrum of G.
-
-    A is block diagonal, so these need only the k pairs of
-    ``_block_pair``, which both variants share.  A singular block raises
-    amplification_matrix's error at the first singular sigma in C order.
-    """
+    A singular or non-finite block raises SingularStepError naming the
+    first one, at the first such sigma in C order."""
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma < 0.0):
-        raise ValueError(f"sigma must be >= 0, got {sigma.min()}")
-    A, B = _block_pair(p.alpha, p.beta, p.gamma, p.c, sigma[..., None])
-    try:
-        return np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        # slogdet runs the solve's LU: its sign is 0 exactly where that failed.
-        singular = (np.linalg.slogdet(A)[0] == 0.0).any(axis=-1).ravel()
-        first = float(sigma.ravel()[singular.argmax()])
-        _check_divisors(p, first)
-        raise SingularStepError(f"step matrix A is singular at sigma = {first}")
+    G, bad = _block_solve(np.column_stack((p.alpha, p.beta, p.gamma, p.c)), sigma)
+    if bad.any():
+        at, j = divmod(int(bad.argmax()), p.k)
+        s = float(sigma.flat[at])
+        raise SingularStepError(f"block {j + 1} divisor alpha_{j + 1} + sigma*c*beta_{j + 1} = "
+                                f"{p.alpha[j] + s * p.c[j] * p.beta[j]} at sigma = {s}")
+    return G

@@ -37,18 +37,14 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_rho(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--rho expects comma-separated floats, got {text!r}")
-
-
-def _parse_steps(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--steps expects comma-separated integers, got {text!r}")
+def _comma_list(flag: str, cast, what: str):
+    """Parser of a comma-separated ``flag`` value into a list of ``cast``."""
+    def parse(text: str) -> list:
+        try:
+            return [cast(x) for x in text.split(",") if x != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{flag} expects comma-separated {what}, got {text!r}")
+    return parse
 
 
 def _parse_vary(text: str) -> spectral.ParameterAxis:
@@ -122,10 +118,6 @@ def _cmd_converge(args, p) -> str:
     )
 
 
-def _write_matrix_csv(path: Path, M: np.ndarray) -> None:
-    path.write_text(_csv_rows([[f"c{j}" for j in range(M.shape[1])], *M.tolist()], str), newline="")
-
-
 def _cmd_spectrum(args, p) -> str:
     spec = spectral.sweep_spectrum(p, args.sigma_min, args.sigma_max, args.points)
     # Rows are sigma,block,idx,re,im,abs: each sigma is formatted once
@@ -146,8 +138,8 @@ def _cmd_spectrum(args, p) -> str:
         A, B = assemble_step_matrices(p, args.dump_matrices_sigma)
         G = amplification_matrix(p, args.dump_matrices_sigma).G
         for name, M in (("A", A), ("B", B), ("G", G)):
-            mpath = _outfile(args, f"_{name}.csv")
-            _write_matrix_csv(mpath, M)
+            rows = [[f"c{j}" for j in range(M.shape[1])], *M.tolist()]
+            _outfile(args, f"_{name}.csv").write_text(_csv_rows(rows, str), newline="")
         extra = f" matrices={_outfile(args, '_A.csv').parent}"
     max_r = float(spec.radius.max())
     return (
@@ -193,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def scheme_flags(sp):
         sp.add_argument("--k", type=int, required=True, help="half-order (accuracy 2k)")
-        sp.add_argument("--rho", type=_parse_rho, required=True,
+        sp.add_argument("--rho", type=_comma_list("--rho", float, "floats"), required=True,
                         help="comma-separated dissipation controls in [0,1]")
 
     def out_flag(sp):
@@ -220,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u0", type=_finite, default=1.0)
     sp.add_argument("--v0", type=_finite, default=0.0)
     sp.add_argument("--T", type=_finite, required=True)
-    sp.add_argument("--steps", type=_parse_steps, required=True,
+    sp.add_argument("--steps", type=_comma_list("--steps", int, "integers"), required=True,
                     help="comma-separated ascending step counts")
     sp.add_argument("--variant", choices=["full", "printed"], default="full")
     out_flag(sp)

@@ -10,7 +10,7 @@ few refinements) and counted, not silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin, sqrt
+from math import cos, isnan, sin, sqrt
 
 import numpy as np
 
@@ -54,8 +54,9 @@ class ConvergenceStudy:
             "variant": self.variant.value,
             "lambda": self.lam,
             "T": self.T,
-            "fitted_order_u": self.fitted_order_u,
-            "fitted_order_v": self.fitted_order_v,
+            # an undefined (NaN) order is null, which strict JSON parsers accept
+            "fitted_order_u": None if isnan(self.fitted_order_u) else self.fitted_order_u,
+            "fitted_order_v": None if isnan(self.fitted_order_v) else self.fitted_order_v,
             "discarded": self.discarded,
         }
 

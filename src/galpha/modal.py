@@ -88,11 +88,7 @@ def load_system(path) -> SymmetricSystem:
     """Read the JSON schema {"K": [[...]], "u0": [...], "v0": [...]}."""
     with open(path) as fh:
         data = json.load(fh)
-    return SymmetricSystem(
-        K=np.array(data["K"], dtype=float),
-        u0=np.array(data["u0"], dtype=float),
-        v0=np.array(data["v0"], dtype=float),
-    )
+    return SymmetricSystem(K=data["K"], u0=data["u0"], v0=data["v0"])
 
 
 def jacobi_eig(K) -> ModalDecomposition:

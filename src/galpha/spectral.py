@@ -1,12 +1,12 @@
 """Eigenvalue analysis of the amplification matrix, batched over sigma.
 
 Because G is block upper triangular with 3x3 diagonal blocks, its
-spectrum is the union of the k block spectra.  Each block is the pair
-``amplification._block_pair``, which both variants share, so nothing
-here takes a variant.  ``eigvals`` takes the diagonal blocks at every
-sigma from ``amplification.diagonal_blocks`` in one (..., k, 3, 3)
-stack and all their eigenvalues in a single ``np.linalg.eigvals`` call,
-then post-processes each block's three roots as array operations:
+spectrum is the union of the k block spectra, which both variants share.
+Every block here comes from the one block solve,
+``amplification._block_solve``.  ``eigvals`` takes the blocks at every
+sigma in one (..., k, 3, 3) stack and all their eigenvalues in a single
+``np.linalg.eigvals`` call, then post-processes each block's three roots
+as array operations:
 
 * A fully clustered triple is collapsed onto the real axis.  In the
   stiff limit the last block tends to a triple root at rho_k, and the
@@ -30,15 +30,15 @@ gamma, c) at once from the two ``linspace`` axes and the fixed values
 with ``params.block_rows``, which writes the gamma, beta and coupling
 laws, and solves each distinct row once: leading block j depends on
 alpha_j alone and the last block on (alpha_k, alpha_f) alone, so across
-a 2-D grid most points share most of their blocks.  Every (distinct block, sigma) pair
-goes through one solve -> eigvals -> radius pass per slab of at most
-MAP_SLAB_BLOCKS pairs, and a point's radius is the largest of its k
-blocks' radii.  A singular or non-finite block (beta overflows past
-|alpha| ~ 1e154) gets radius inf, and so does every point holding it,
-instead of stopping the pass.  ``classify_stability`` is the one-point
+a 2-D grid most points share most of their blocks.  Every (distinct
+block, sigma) pair goes through one block solve -> eigvals -> radius
+pass per slab of at most MAP_SLAB_BLOCKS pairs, and a point's radius is
+the largest of its k blocks' radii.  A block the solve masks (singular,
+or not finite: beta overflows past |alpha| ~ 1e154) gets radius inf, as
+does every point holding it.  ``classify_stability`` is the one-point
 case of the same pass, with all k blocks of the scheme in each pair.
 
-Sigma convention: sigma = lambda*tau^2 >= 0 everywhere; sweeps use a
+Sigma convention: sigma = lambda*tau^2, finite and >= 0; sweeps use a
 positive log axis.
 """
 
@@ -49,8 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SchemeParameters, block_rows
-from .errors import UnsupportedParametersError
-from .amplification import _block_pair, diagonal_blocks
+from .amplification import _block_solve, diagonal_blocks
 
 
 @dataclass(frozen=True)
@@ -196,9 +195,7 @@ def limit_eigs_sigma_inf(p: SchemeParameters) -> list[float]:
     """Closed-form sigma -> infinity magnitudes for rho-derived schemes:
     leading blocks give {rho_j, rho_j, 0}, the last block {rho_k}^3."""
     if p.rho is None:
-        raise UnsupportedParametersError(
-            "sigma->infinity limits require rho-derived parameters"
-        )
+        raise ValueError("sigma->infinity limits require rho-derived parameters")
     rho = p.rho.rho
     out: list[float] = []
     for j in range(p.k - 1):
@@ -228,21 +225,14 @@ MAP_SLAB_BLOCKS = 1 << 16
 
 def _radii(rows, sigma) -> np.ndarray:
     """Spectral radius of G for each (scheme, sigma) pair, from one
-    solve -> eigvals pass over the pairs' diagonal blocks: each scheme's
-    block rows (..., k, 4) as ``params.block_rows`` lays them out,
-    broadcast against sigma (...).  A pair with a block whose LU meets a
-    zero pivot (where ``diagonal_blocks`` raises) or that is not finite
-    gets radius inf instead of failing the pass."""
-    with np.errstate(over="ignore", invalid="ignore"):  # extreme schemes, marked below
-        A, B = _block_pair(*np.moveaxis(rows, -1, 0), sigma[..., None])
-        sign, logdet = np.linalg.slogdet(A)
-    bad = ((sign == 0.0) | ~np.isfinite(logdet) | ~np.isfinite(B).all(axis=(-2, -1))).any(axis=-1)
-    A[bad], B[bad] = np.eye(3), 0.0
-    G = np.linalg.solve(A, B)
-    bad |= ~np.isfinite(G).all(axis=(-3, -2, -1))
-    G[bad] = 0.0
+    ``_block_solve`` -> eigvals pass over the pairs' diagonal blocks:
+    each scheme's block rows (..., k, 4) as ``params.block_rows`` lays
+    them out, broadcast against sigma (...).  A pair with a block that
+    the solve masks (where ``diagonal_blocks`` raises) gets radius inf
+    instead of failing the pass."""
+    G, bad = _block_solve(rows, sigma)
     radius = np.abs(_settle(np.linalg.eigvals(G))).max(axis=(-2, -1))
-    radius[bad] = np.inf
+    radius[bad.any(axis=-1)] = np.inf
     return radius
 
 

@@ -159,10 +159,12 @@ def _csv_rows(rows, cell=repr) -> str:
 def init_state(lam: float, u0: float, v0: float, k: int) -> ModalState:
     """Exact initial derivatives via repeated differentiation of
     u'' = -lambda*u: d[2m] = (-lambda)^m u0, d[2m+1] = (-lambda)^m v0.
-    An entry that overflows from finite u0 and v0 raises OverflowError
-    naming lambda."""
+    A u0 or v0 that is not finite raises ValueError, and an entry that
+    overflows raises OverflowError naming lambda."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not (math.isfinite(u0) and math.isfinite(v0)):
+        raise ValueError(f"u0 and v0 must be finite, got u0 = {u0!r}, v0 = {v0!r}")
     d = []
     for j in range(3 * k):
         base = u0 if j % 2 == 0 else v0
@@ -170,7 +172,7 @@ def init_state(lam: float, u0: float, v0: float, k: int) -> ModalState:
             x = (-lam) ** (j // 2) * base + 0.0  # + 0.0 drops negative zero
         except OverflowError:
             x = math.inf
-        if not math.isfinite(x) and math.isfinite(base):
+        if not math.isfinite(x):
             name = "u0" if j % 2 == 0 else "v0"
             raise OverflowError(f"(-lambda)^{j // 2} * {name} is not finite at lambda = {lam!r}")
         d.append(x)
@@ -304,7 +306,7 @@ def integrate(
 ) -> Trajectory:
     """n_steps uniform steps from the exact initial state; n_steps+1
     rows [t_i, *d] at t_i = i*tau.  Raises OverflowError naming lambda
-    and tau if the state overflows from finite u0 and v0."""
+    and tau if the state overflows."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     advance = _plan(p, lam, cfg)
@@ -318,6 +320,6 @@ def integrate(
         append([i * tau, *d])
     # The step divides only by finite divisors, so an entry that is not
     # finite stays so to the last row.
-    if not all(map(math.isfinite, d)) and math.isfinite(u0) and math.isfinite(v0):
+    if not all(map(math.isfinite, d)):
         raise OverflowError(f"the state is not finite at lambda = {float(lam)!r}, tau = {tau!r}")
     return Trajectory._of_rows(p.k, rows)

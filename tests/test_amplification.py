@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from galpha import (
     unscale_state,
 )
 from galpha.amplification import _block_pair
+from galpha.spectral import eigvals
 from galpha.stepper import _plan
 
 
@@ -146,6 +150,12 @@ class TestAmplification:
         with pytest.raises(SingularStepError):
             oracle_step(p, 32.0, [1.0, 0.0, 0.0])
 
+    def test_non_finite_block_is_reported(self):
+        # a hand-built beta_2 = inf leaves block 2 not finite (once NaN entries)
+        p = replace(from_alphas(2, (1.5, 1.2), 0.7), beta=(0.5, math.inf))
+        with pytest.raises(SingularStepError, match=r"block 2 divisor .* = inf at sigma = 2.0"):
+            diagonal_blocks(p, [2.0, 4.0])
+
     def test_diagonal_blocks_cover_full_spectrum(self):
         p = derive(DissipationSpec(3, (0.3, 0.6, 0.9)))
         union = np.linalg.eigvals(diagonal_blocks(p, 4.2)).ravel()
@@ -194,6 +204,23 @@ class TestAmplification:
     def test_diagonal_blocks_reject_negative_sigma(self):
         with pytest.raises(ValueError):
             diagonal_blocks(K2, [1.0, -1.0])
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+@pytest.mark.parametrize("call", [
+    lambda p, sigma: eigvals(p, sigma),
+    lambda p, sigma: spectral_radius(p, [1.0, sigma]),
+    lambda p, sigma: diagonal_blocks(p, sigma),
+    lambda p, sigma: assemble_step_matrices(p, sigma),
+    lambda p, sigma: amplification_matrix(p, sigma),
+    lambda p, sigma: oracle_step(p, sigma, [1.0] * 6),
+], ids=["eigvals", "spectral_radius", "diagonal_blocks", "assemble_step_matrices",
+        "amplification_matrix", "oracle_step"])
+def test_non_finite_sigma_is_rejected(call, sigma):
+    # once NaN matrices without an error, a RuntimeWarning, or numpy's bare
+    # "Array must not contain infs or NaNs"
+    with pytest.raises(ValueError, match=f"sigma must be finite and >= 0, got {sigma}"):
+        call(K2, sigma)
 
 
 class TestScaling:

@@ -88,6 +88,24 @@ class TestConverge:
         summary = json.loads(Path(fields["summary"]).read_text())
         assert summary["k"] == 2
 
+    def test_undefined_orders_are_null_in_strict_json(self, tmp_path, capsys):
+        # lambda = 0 is integrated exactly, so no error is above the round-off
+        # floor and no order is fitted; the summary once held bare NaN tokens
+        code, out, _ = run_cli(
+            capsys, "converge", "--k", "1", "--rho", "0.5", "--lambda", "0", "--T", "1",
+            "--steps", "2,4,8", "--out", str(tmp_path),
+        )
+        assert code == 0
+        fields = dict(part.split("=", 1) for part in out.split())
+        assert fields["fitted_order_u"] == fields["fitted_order_v"] == "nan"
+        assert fields["discarded"] == "3"
+
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        summary = json.loads(Path(fields["summary"]).read_text(), parse_constant=reject)
+        assert summary["fitted_order_u"] is None and summary["fitted_order_v"] is None
+
 
 class TestSpectrum:
     def test_sweep_csv_and_matrix_dump(self, tmp_path, capsys):

@@ -77,6 +77,24 @@ class TestRunConvergence:
         assert study.discarded >= 1
         assert math.isfinite(study.fitted_order_u)
 
+    def test_roundoff_floor_keeps_an_exact_study_fitting(self):
+        # lambda = 0 is integrated exactly: every error is 0, below the
+        # floor, so no order is fitted instead of fit_order failing on log(0)
+        p = derive(DissipationSpec(1, (0.5,)))
+        study = run_convergence(p, 0.0, 1.0, 0.0, 1.0, [2, 4, 8])
+        assert study.discarded == 3
+        assert math.isnan(study.fitted_order_u) and math.isnan(study.fitted_order_v)
+
+    def test_roundoff_floor_keeps_the_order_of_a_study_refined_into_round_off(self):
+        # criterion 1's k = 3 scheme and band (6 +- 0.3 in u or v); the u
+        # errors from 512 steps on and the v errors from 1024 on are
+        # round-off, and fitted with the rest they pull both orders out of
+        # the band (u 4.4, v 5.2)
+        p = derive(DissipationSpec(3, (0.5, 0.5, 0.5)))
+        study = run_convergence(p, LAM, 1.0, 0.0, 1.0, [64, 128, 256, 512, 1024, 2048])
+        assert study.discarded == 3
+        assert abs(study.fitted_order_u - 6.0) <= 0.3 or abs(study.fitted_order_v - 6.0) <= 0.3
+
     def test_csv_and_summary(self):
         p = derive(DissipationSpec(2, (0.5, 0.5)))
         study = run_convergence(p, LAM, 1.0, 0.0, 1.0, [8, 16, 32])

@@ -9,7 +9,6 @@ from galpha import (
     ParameterAxis,
     SingularStepError,
     SweepConfig,
-    UnsupportedParametersError,
     Variant,
     amplification_matrix,
     char_coeffs_3x3,
@@ -125,7 +124,7 @@ class TestLimits:
 
     def test_sigma_inf_requires_rho(self):
         p = from_alphas(2, (2.0, 1.0), 0.6)
-        with pytest.raises(UnsupportedParametersError):
+        with pytest.raises(ValueError):
             limit_eigs_sigma_inf(p)
 
     def test_k1_radius_approaches_rho(self):

@@ -53,6 +53,16 @@ class TestInitState:
         with pytest.raises(ValueError):
             init_state(1.0, 1.0, 0.0, 0)
 
+    @pytest.mark.parametrize("u0, v0", [
+        (float("inf"), 0.0), (0.0, float("-inf")), (float("nan"), 1.0), (1.0, float("nan")),
+    ])
+    def test_non_finite_initial_values_are_rejected(self, u0, v0):
+        # integrate once returned NaN rows here without an error
+        with pytest.raises(ValueError, match="u0 and v0 must be finite"):
+            init_state(1.0, u0, v0, 2)
+        with pytest.raises(ValueError, match="u0 and v0 must be finite"):
+            integrate(derive(rho_spec(0.5)), 1.0, StepConfig(0.1), u0, v0, 3)
+
 
 class TestStepK1:
     def test_zero_lambda_linear_advance(self):
