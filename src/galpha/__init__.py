@@ -34,7 +34,6 @@ from .spectral import (
     Spectrum,
     StabilityMap,
     SweepConfig,
-    char_coeffs_3x3,
     classify_stability,
     eigvals,
     limit_eigs_sigma_inf,

@@ -63,6 +63,21 @@ def _block_pair(alpha, beta, gamma, c, sigma) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def _block_poly(alpha, beta, gamma, c, sigma) -> tuple:
+    """Coefficients (p3, p2, p1, p0) of z^3..z^0 of the block polynomial
+    det(z A_jj - B_jj) = (z-1)^2 (alpha z - alpha + 1) + sigma (c z + 1 - c)
+    (beta z^2 + (gamma - 2 beta + 1/2) z + beta - gamma + 1/2), from
+    ``_block_pair``'s arguments; plain arithmetic, so Fractions pass."""
+    q = (2 * gamma - 4 * beta + 1) / 2  # z^1 and z^0 coefficients of the quadratic
+    r = (2 * beta - 2 * gamma + 1) / 2
+    return (
+        alpha + sigma * c * beta,
+        1 - 3 * alpha + sigma * (c * q + (1 - c) * beta),
+        3 * alpha - 2 + sigma * (c * r + (1 - c) * q),
+        1 - alpha + sigma * (1 - c) * r,
+    )
+
+
 def assemble_step_matrices(
     p: SchemeParameters, sigma: float, variant: Variant = Variant.FULL_TAYLOR
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -14,9 +14,8 @@ from math import cos, isnan, sin, sqrt
 
 import numpy as np
 
-from .amplification import diagonal_blocks
+from .amplification import _block_poly, diagonal_blocks
 from .params import SchemeParameters
-from .spectral import char_coeffs_3x3
 from .stepper import StepConfig, Variant, _csv_rows, integrate
 
 ROUNDOFF_FLOOR = 1e-12
@@ -135,19 +134,20 @@ def run_convergence(
 
 
 def verify_recurrence(p: SchemeParameters, sigma: float, component: int) -> float:
-    """Max relative residual of the 4-term invariant recurrence
+    """Max relative residual of the 4-term recurrence
 
-        w_{n+1} - G1*w_n + G2*w_{n-1} - G3*w_{n-2} = 0
+        p3*w_{n+3} + p2*w_{n+2} + p1*w_{n+1} + p0*w_n = 0
 
-    for the scalar sequence read off one component of repeated diagonal-
-    block applications (Cayley-Hamilton on the 3x3 block).  Normalized
-    by the largest |w_n| seen, over RECURRENCE_TERMS + 1 terms."""
+    with the closed-form block polynomial ``amplification._block_poly``,
+    for the scalar sequence read off one component of repeated solved-
+    block applications.  Divided by p3 and the largest |w_n| seen, over
+    RECURRENCE_TERMS + 1 terms."""
     k = p.k
     if not 0 <= component < 3 * k:
         raise ValueError(f"component must be in [0, {3 * k})")
-    blk = diagonal_blocks(p, sigma)[component // 3]
-    idx = component % 3
-    g1, g2, g3 = char_coeffs_3x3(blk)
+    j, idx = divmod(component, 3)
+    blk = diagonal_blocks(p, sigma)[j]
+    p3, p2, p1, p0 = _block_poly(p.alpha[j], p.beta[j], p.gamma[j], p.c[j], sigma)
     vec = np.ones(3)
     seq = []
     for _ in range(RECURRENCE_TERMS):
@@ -158,5 +158,5 @@ def verify_recurrence(p: SchemeParameters, sigma: float, component: int) -> floa
     scale = float(np.max(np.abs(w)))
     if scale == 0.0:
         return 0.0
-    res = w[3:] - g1 * w[2:-1] + g2 * w[1:-2] - g3 * w[:-3]
+    res = (p3 * w[3:] + p2 * w[2:-1] + p1 * w[1:-2] + p0 * w[:-3]) / p3
     return float(np.max(np.abs(res)) / scale)

@@ -69,9 +69,14 @@ class SchemeParameters:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "c"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-            if len(getattr(self, name)) != self.k:
+            value = tuple(map(float, getattr(self, name)))
+            if len(value) != self.k:
                 raise ValueError(f"{name} must have length k = {self.k}")
+            if not all(map(math.isfinite, value)):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        if not math.isfinite(self.alpha_f):
+            raise ValueError(f"alpha_f must be finite, got {self.alpha_f}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,8 +91,11 @@ class SchemeParameters:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    passed: bool
     violations: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def derive(spec: DissipationSpec) -> SchemeParameters:
@@ -99,22 +107,26 @@ def derive(spec: DissipationSpec) -> SchemeParameters:
     return replace(p, rho=spec)
 
 
-def check_stability_conditions(p: SchemeParameters) -> StabilityReport:
-    """Closed-form sufficient conditions for unconditional stability.
+def block_conditions(alpha, c):
+    """The stability rule 1/2 <= c <= alpha of a block, as its halves
+    (c >= 1/2, c <= alpha), for floats, arrays or Fractions of block
+    rows' alpha and c: alpha_j >= 1 for a leading block (c = 1), and
+    1/2 <= alpha_f <= alpha_k for the last (c = alpha_f).  Routh-Hurwitz
+    on ``amplification._block_poly`` reduces to it: the block's radius is
+    <= 1 at every sigma > 0 exactly when both halves hold."""
+    return 0.5 <= c, c <= alpha
 
-    For k >= 2: alpha_i >= 1 for i < k and 1/2 <= alpha_f <= alpha_k.
-    For k = 1 only the second pair applies (with alpha_k = alpha_m).
-    Exact comparisons on the stored values; no tolerance.
-    """
+
+def check_stability_conditions(p: SchemeParameters) -> StabilityReport:
+    """The ``block_conditions`` each block misses: alpha_i >= 1 for i < k
+    and 1/2 <= alpha_f <= alpha_k (alpha_k = alpha_m for k = 1)."""
     violations = []
-    for i in range(p.k - 1):
-        if not p.alpha[i] >= 1.0:
-            violations.append(f"alpha_{i + 1} >= 1")
-    if not p.alpha_f >= 0.5:
-        violations.append("alpha_f >= 1/2")
-    if not p.alpha_f <= p.alpha[-1]:
-        violations.append(f"alpha_f <= alpha_{p.k}")
-    return StabilityReport(passed=not violations, violations=tuple(violations))
+    for j, (damped, bounded) in enumerate(map(block_conditions, p.alpha, p.c)):
+        if not damped:  # c = 1 >= 1/2 in a leading block
+            violations.append("alpha_f >= 1/2")
+        if not bounded:
+            violations.append(f"alpha_f <= alpha_{p.k}" if j == p.k - 1 else f"alpha_{j + 1} >= 1")
+    return StabilityReport(tuple(violations))
 
 
 def block_rows(alpha, alpha_f) -> np.ndarray:

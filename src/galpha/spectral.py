@@ -37,6 +37,8 @@ the largest of its k blocks' radii.  A block the solve masks (singular,
 or not finite: beta overflows past |alpha| ~ 1e154) gets radius inf, as
 does every point holding it.  ``classify_stability`` is the one-point
 case of the same pass, with all k blocks of the scheme in each pair.
+Radii are grid maxima, but "stable" is exact for every sigma > 0: each
+block meets ``params.block_conditions`` and the radius is finite.
 
 Sigma convention: sigma = lambda*tau^2, finite and >= 0; sweeps use a
 positive log axis.
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SchemeParameters, block_rows
+from .params import SchemeParameters, block_conditions, block_rows, check_stability_conditions
 from .amplification import _block_solve, diagonal_blocks
 
 
@@ -111,28 +113,6 @@ class StabilityMap:
     y_axis: ParameterAxis
     fixed: dict
     points: tuple[StabilityMapPoint, ...]
-
-
-# Grid-based stability proxy: radii up to 1 + this slack count as stable,
-# absorbing round-off for spectra sitting exactly on the unit circle.
-STABILITY_TOL = 1e-9
-
-
-def char_coeffs_3x3(M) -> tuple[float, float, float]:
-    """Exact (trace, principal-minor sum, determinant) of a 3x3 matrix."""
-    M = np.asarray(M, dtype=float)
-    g1 = M[0, 0] + M[1, 1] + M[2, 2]
-    g2 = (
-        M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
-        + M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
-    )
-    g3 = (
-        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-    )
-    return g1, g2, g3
 
 
 # A conjugate pair this close to the real axis (relative to its
@@ -239,15 +219,14 @@ def _radii(rows, sigma) -> np.ndarray:
 def classify_stability(
     p: SchemeParameters, sweep: SweepConfig = SweepConfig()
 ) -> tuple[bool, float, float]:
-    """(stable, max radius, argmax sigma) over the sweep grid.
-
-    Grid-based proxy for unconditional stability; a singular assembly at
-    any grid point counts as unstable, reported at the first such sigma.
-    """
+    """(stable, max radius, argmax sigma): ``check_stability_conditions``
+    passes and the radius is finite; the radius is the sweep grid's
+    maximum, inf at the first sigma where the assembly is singular."""
     grid = sweep.grid()
     radius = _radii(np.column_stack((p.alpha, p.beta, p.gamma, p.c)), grid)
     i = int(radius.argmax())
-    return (bool(radius[i] <= 1.0 + STABILITY_TOL), float(radius[i]), float(grid[i]))
+    stable = check_stability_conditions(p).passed and bool(np.isfinite(radius[i]))
+    return (stable, float(radius[i]), float(grid[i]))
 
 
 def check_map_names(k: int, fixed: dict, x_axis: ParameterAxis, y_axis: ParameterAxis) -> None:
@@ -277,21 +256,12 @@ def stability_map(
     y_axis: ParameterAxis,
     sweep: SweepConfig = SweepConfig(),
 ) -> StabilityMap:
-    """Classify a 2-D grid of raw alpha parameters in one array pass.
-
-    Parameter names are "alpha1".."alpha{k}" and "alpha_f".  The
-    (points, k, 4) block rows (alpha, beta, gamma, c) come from
-    ``block_rows`` of the two axes and the fixed values; points run
-    row-major from y.  Points repeat blocks (leading block j varies
-    with alpha_j only, the last with alpha_k and alpha_f only), so each
-    distinct row is solved once, by
-    ``_radii`` in slabs of at most MAP_SLAB_BLOCKS (block, sigma) pairs;
-    rows are told apart by bit pattern, so each block's arithmetic is the
-    same as inside its point and the radii are those of solving every
-    (point, sigma) pair whole.  A point's radius is the max over its
-    blocks of their max over the sweep; a row whose beta overflows (past
-    |alpha| ~ 1e154) is not finite, so its points get radius inf.
-    """
+    """Classify a 2-D grid of raw alpha parameters in one array pass, as
+    the module docstring lays out.  Parameter names are "alpha1"..
+    "alpha{k}" and "alpha_f"; points run row-major from y.  Distinct
+    block rows are told apart by bit pattern, so each block's arithmetic
+    is the same as inside its point, and the radii are those of solving
+    every (point, sigma) pair whole."""
     check_map_names(k, fixed, x_axis, y_axis)
     grid = sweep.grid()
     n = x_axis.n * y_axis.n
@@ -300,9 +270,9 @@ def stability_map(
     vals[y_axis.name] = np.repeat(np.linspace(y_axis.lo, y_axis.hi, y_axis.n), x_axis.n)
     alpha = np.stack([np.broadcast_to(vals[f"alpha{i + 1}"], n) for i in range(k)], axis=-1)
     alpha_f = np.broadcast_to(vals["alpha_f"], n)
-    rows = block_rows(alpha, alpha_f).reshape(-1, 4)
+    rows = block_rows(alpha, alpha_f)
     # each bit pattern of the points' block rows kept once
-    distinct, which = np.unique(rows.view(np.int64), axis=0, return_inverse=True)
+    distinct, which = np.unique(rows.reshape(-1, 4).view(np.int64), axis=0, return_inverse=True)
     distinct = distinct.view(float)[:, None]  # (blocks, 1, 4): one block per scheme
     # one radius per (block, sigma) pair, MAP_SLAB_BLOCKS pairs at a time
     pair_radius = np.empty(len(distinct) * grid.size)
@@ -311,7 +281,8 @@ def stability_map(
         pair_radius[i] = _radii(distinct[i // grid.size], grid[i % grid.size])
     block_radius = pair_radius.reshape(len(distinct), grid.size).max(axis=1)
     radius = block_radius[which].reshape(n, k).max(axis=1)
-    stable = (radius <= 1.0 + STABILITY_TOL).tolist()
+    damped, bounded = block_conditions(rows[..., 0], rows[..., 3])
+    stable = ((damped & bounded).all(axis=1) & np.isfinite(radius)).tolist()
     points = tuple(map(
         StabilityMapPoint,
         vals[x_axis.name].tolist(), vals[y_axis.name].tolist(), radius.tolist(), stable,

@@ -1,5 +1,5 @@
-import math
-from dataclasses import replace
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,7 +22,8 @@ from galpha import (
     spectral_radius,
     unscale_state,
 )
-from galpha.amplification import _block_pair
+from galpha.amplification import _block_pair, _block_poly
+from galpha.params import block_conditions
 from galpha.spectral import eigvals
 from galpha.stepper import _plan
 
@@ -151,10 +152,11 @@ class TestAmplification:
             oracle_step(p, 32.0, [1.0, 0.0, 0.0])
 
     def test_non_finite_block_is_reported(self):
-        # a hand-built beta_2 = inf leaves block 2 not finite (once NaN entries)
-        p = replace(from_alphas(2, (1.5, 1.2), 0.7), beta=(0.5, math.inf))
-        with pytest.raises(SingularStepError, match=r"block 2 divisor .* = inf at sigma = 2.0"):
-            diagonal_blocks(p, [2.0, 4.0])
+        # finite coefficients whose block 2 solve overflows: beta_2 ~ 6e299
+        # over the divisor alpha_2 = 1e-300
+        p = from_alphas(2, (1.5, 1e-300), -1e150)
+        with pytest.raises(SingularStepError, match=r"block 2 divisor .* = 1e-300 at sigma = 0.0"):
+            diagonal_blocks(p, [0.0, 2.0])
 
     def test_diagonal_blocks_cover_full_spectrum(self):
         p = derive(DissipationSpec(3, (0.3, 0.6, 0.9)))
@@ -221,6 +223,91 @@ def test_non_finite_sigma_is_rejected(call, sigma):
     # "Array must not contain infs or NaNs"
     with pytest.raises(ValueError, match=f"sigma must be finite and >= 0, got {sigma}"):
         call(K2, sigma)
+
+
+def _exact_row(alpha, alpha_f=None):
+    """(alpha, beta, gamma, c) of a leading block (alpha_f None) or of
+    the last block, from the gamma and beta laws in exact arithmetic."""
+    if alpha_f is None:
+        gamma, c = alpha - Fraction(1, 2), 1
+    else:
+        gamma, c = Fraction(1, 2) - alpha_f + alpha, alpha_f
+    return alpha, ((2 * gamma + 1) / 4) ** 2, gamma, c
+
+
+def _mul(a, b):
+    """Product of two polynomials, coefficients by ascending power."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _hurwitz(row, sigma):
+    """(b0, b1, b2, b3) of (1 - s)^3 p((1 + s)/(1 - s)) for the block
+    polynomial p of ``_block_poly``: p's roots lie in |z| <= 1 where
+    this cubic's lie in Re s <= 0."""
+    b = [0] * 4
+    for m, coeff in zip((3, 2, 1, 0), _block_poly(*row, sigma)):
+        term = [coeff]
+        for _ in range(m):
+            term = _mul(term, [1, 1])
+        for _ in range(3 - m):
+            term = _mul(term, [1, -1])
+        b = [x + y for x, y in zip(b, term)]
+    return b
+
+
+class TestBlockPolynomial:
+    """``_block_poly`` is det(z A_jj - B_jj) in closed form, and Routh-
+    Hurwitz on it is the stability rule of ``block_conditions``."""
+
+    def test_is_the_determinant_of_the_block_pair(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            alpha, beta, gamma, c = rng.uniform(-2.0, 3.0, 4)
+            sigma, z = 10.0 ** rng.uniform(-3, 3), complex(*rng.normal(size=2))
+            A, B = _block_pair(alpha, beta, gamma, c, sigma)
+            want = np.linalg.det(z * A - B)
+            got = np.polyval(_block_poly(alpha, beta, gamma, c, sigma), z)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    def test_routh_hurwitz_coefficients_and_factorizations_are_exact(self):
+        rng = np.random.default_rng(22)
+        fractions = lambda n: [Fraction(int(rng.integers(-40, 80)), int(rng.integers(1, 20)))
+                               for _ in range(n)]
+        for alpha, alpha_f, sigma in zip(fractions(30), fractions(30), fractions(30)):
+            sigma = abs(sigma) + Fraction(1, 7)
+            for row, D in (
+                (_exact_row(alpha), 2 * sigma**2 * alpha**2 * (alpha - 1)),
+                (_exact_row(alpha, alpha_f),
+                 2 * sigma**2 * (alpha - alpha_f) * (alpha + alpha_f - 1) ** 2),
+            ):
+                _, _, gamma, c = row
+                b0, b1, b2, b3 = _hurwitz(row, sigma)
+                assert isinstance(b3, Fraction)
+                assert (b0, b1) == (sigma, 2 * sigma * (c + gamma - 1))
+                assert b2 * b1 - b3 * b0 == D
+
+    def test_routh_hurwitz_for_every_sigma_is_the_stability_rule(self):
+        # Each b is affine in sigma and D = b2*b1 - b3*b0 is sigma^2 times a
+        # constant, so "every b >= 0 and D >= 0 for every sigma > 0" reads
+        # off sigma = 0, 1 and 2 exactly.  The grid holds the boundaries
+        # alpha = 1, alpha_f = 1/2, alpha_f = alpha_k and alpha_f + alpha_k = 1.
+        grid = [Fraction(n, 4) for n in range(-4, 10)]
+        rows = [_exact_row(a) for a in grid] + [_exact_row(a, f) for a, f in product(grid, grid)]
+        verdicts = set()
+        for row in rows:
+            at0, at1, at2 = (_hurwitz(row, Fraction(s)) for s in (0, 1, 2))
+            slope = [y - x for x, y in zip(at0, at1)]
+            assert at2 == [x + 2 * v for x, v in zip(at0, slope)]
+            b0, b1, b2, b3 = at1
+            hurwitz = min(at0 + slope) >= 0 and b2 * b1 - b3 * b0 >= 0
+            rule = all(block_conditions(row[0], row[3]))
+            assert hurwitz == rule, row
+            verdicts.add(rule)
+        assert verdicts == {True, False}
 
 
 class TestScaling:

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,6 +126,28 @@ def test_stability_conditions_alpha_f_violation():
     report = check_stability_conditions(p)
     assert not report.passed
     assert report.violations == ("alpha_f <= alpha_2",)
+
+
+def test_stability_conditions_name_every_violation_in_block_order():
+    p = from_alphas(3, (0.5, 1.0, 0.2), 0.4)
+    assert check_stability_conditions(p).violations == (
+        "alpha_1 >= 1", "alpha_f >= 1/2", "alpha_f <= alpha_3")
+    p = from_alphas(1, (0.5,), 0.5)  # the boundary alpha_f = 1/2 = alpha_m passes
+    assert check_stability_conditions(p).passed
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beta", (0.5, math.inf)),
+    ("alpha_f", math.nan),
+    ("alpha", (1.5, -math.inf)),
+    ("gamma", (math.nan, 0.9)),
+    ("c", (1.0, math.inf)),
+])
+def test_non_finite_coefficients_are_rejected(field, value):
+    # rejected where the scheme is built, so no solve sees a non-finite row
+    p = from_alphas(2, (1.5, 1.2), 0.7)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        replace(p, **{field: value})
 
 
 def test_json_serialization_round_trip():

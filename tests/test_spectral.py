@@ -11,7 +11,7 @@ from galpha import (
     SweepConfig,
     Variant,
     amplification_matrix,
-    char_coeffs_3x3,
+    check_stability_conditions,
     classify_stability,
     derive,
     eigvals,
@@ -22,20 +22,6 @@ from galpha import (
     stability_map,
     sweep_spectrum,
 )
-
-
-class TestCharCoeffs:
-    def test_matches_numpy_poly(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            M = rng.normal(size=(3, 3))
-            g1, g2, g3 = char_coeffs_3x3(M)
-            # np.poly returns [1, -G1, G2, -G3]
-            want = np.poly(M)
-            assert (1.0, -g1, g2, -g3) == pytest.approx(tuple(want), rel=1e-10)
-
-    def test_identity_matrix(self):
-        assert char_coeffs_3x3(np.eye(3)) == (3.0, 3.0, 1.0)
 
 
 class TestEigvals:
@@ -264,26 +250,47 @@ class TestStabilityMap:
         assert np.isinf([pt.max_radius for pt in whole.points]).sum() == 6
 
 
+@pytest.mark.parametrize("args", [
+    # criterion 5's two maps
+    (2, {"alpha1": 2.0}, ParameterAxis("alpha_f", 0.0, 2.0, 41),
+     ParameterAxis("alpha2", 0.0, 2.0, 41), SweepConfig(n_points=20)),
+    (2, {"alpha2": 2.0}, ParameterAxis("alpha1", 0.0, 2.0, 41),
+     ParameterAxis("alpha_f", 0.0, 2.0, 41), SweepConfig(n_points=20)),
+    (3, {"alpha1": 1.5, "alpha3": 1.25}, ParameterAxis("alpha2", 0.0, 2.0, 21),
+     ParameterAxis("alpha_f", 0.0, 2.0, 21), SweepConfig()),
+])
+def test_exact_verdict_agrees_with_the_grid_radius(args):
+    # The verdict is the closed-form rule; the radii are numerics on a
+    # grid.  Criterion 4's bound on the radius must tell the same points
+    # stable, so the grid keeps checking the closed form.
+    radius, stable = _map_arrays(stability_map(*args))
+    assert np.array_equal(stable, radius <= 1.0 + 1e-9)
+    assert stable.any() and not stable.all()
+
+
 def _all_pairs_map(k, fixed, x_axis, y_axis, sweep):
     """Reference radii and verdicts of a map, row-major from y, from one
     ``_radii`` call over every (point, sigma) pair with all k blocks of
-    the point in each pair; a point whose coefficients overflow is inf."""
-    rows, at, n = [], [], 0
+    the point in each pair; a point whose coefficients overflow is inf.
+    A point is stable when it passes ``check_stability_conditions`` and
+    its radius is finite."""
+    rows, at, n, passed = [], [], 0, []
     for y in np.linspace(y_axis.lo, y_axis.hi, y_axis.n).tolist():
         for x in np.linspace(x_axis.lo, x_axis.hi, x_axis.n).tolist():
             vals = {**fixed, x_axis.name: x, y_axis.name: y}
             try:
                 p = from_alphas(k, [vals[f"alpha{i + 1}"] for i in range(k)], vals["alpha_f"])
             except OverflowError:
-                pass
+                passed.append(False)
             else:
                 rows.append(np.column_stack((p.alpha, p.beta, p.gamma, p.c)))
                 at.append(n)
+                passed.append(check_stability_conditions(p).passed)
             n += 1
     radius = np.full(n, np.inf)
     if at:
         radius[at] = spectral._radii(np.array(rows)[:, None], sweep.grid()).max(axis=1)
-    return radius, radius <= 1.0 + spectral.STABILITY_TOL
+    return radius, np.array(passed) & np.isfinite(radius)
 
 
 def _map_arrays(smap):
