@@ -26,7 +26,7 @@ from math import factorial
 import numpy as np
 
 from .errors import SingularStepError
-from .params import SchemeParameters
+from .params import SchemeParameters, _singular_divisor
 from .stepper import ModalState, Variant
 
 
@@ -172,19 +172,20 @@ def unscale_state(v, tau: float, k: int) -> ModalState:
 def _block_solve(rows, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one block solve: blocks A_jj^-1 B_jj (..., k, 3, 3) for block
     rows (..., k, 4) as ``params.block_rows`` lays them out, at sigma
-    (...), and the (..., k) mask of blocks that are singular (an LU zero
-    pivot) or not finite, which come back as zeros."""
-    with np.errstate(over="ignore", invalid="ignore"):  # extreme schemes, masked below
+    (...), and the (..., k) mask of blocks that come back as zeros: their
+    divisor alpha + sigma*c*beta is singular by the stepper's rule,
+    ``params._singular_divisor``, or G is not finite.  G's entry
+    -sigma*c/div is checked before the solve, as where it overflows the
+    LU pivot -div/(sigma*c) can underflow to zero; every other pivot is
+    the divisor, or that, to round-off, so the solve meets no zero one."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # extreme schemes, masked
         A, B = _block_pair(*np.moveaxis(rows, -1, 0), sigma[..., None])
-        try:
-            G, bad = np.linalg.solve(A, B), False
-        except np.linalg.LinAlgError:
-            # slogdet runs the solve's LU: its sign is 0 exactly where that failed
-            sign, logdet = np.linalg.slogdet(A)
-            bad = (sign == 0.0) | ~np.isfinite(logdet) | ~np.isfinite(B).all(axis=(-2, -1))
-            A[bad], B[bad] = np.eye(3), 0.0
-            G = np.linalg.solve(A, B)
-    bad = bad | ~np.isfinite(G).all(axis=(-2, -1))
+        shift = A[..., 2, 0] * rows[..., 1]
+        div = A[..., 2, 2] + shift
+        bad = _singular_divisor(div, A[..., 2, 2], shift) | ~np.isfinite(A[..., 2, 0] / div)
+        A[bad], B[bad] = np.eye(3), 0.0
+        G = np.linalg.solve(A, B)
+    bad |= ~np.isfinite(G).all(axis=(-2, -1))
     G[bad] = 0.0
     return G, bad
 

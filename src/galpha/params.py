@@ -68,6 +68,9 @@ class SchemeParameters:
     rho: DissipationSpec | None = None
 
     def __post_init__(self):
+        # alpha_f and alpha first: beta, gamma and c follow from them
+        if not math.isfinite(self.alpha_f):
+            raise ValueError(f"alpha_f must be finite, got {self.alpha_f}")
         for name in ("alpha", "beta", "gamma", "c"):
             value = tuple(map(float, getattr(self, name)))
             if len(value) != self.k:
@@ -75,8 +78,6 @@ class SchemeParameters:
             if not all(map(math.isfinite, value)):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        if not math.isfinite(self.alpha_f):
-            raise ValueError(f"alpha_f must be finite, got {self.alpha_f}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,6 +130,15 @@ def check_stability_conditions(p: SchemeParameters) -> StabilityReport:
     return StabilityReport(tuple(violations))
 
 
+def _singular_divisor(div, alpha, shift):
+    """The one singular-divisor rule, for the stepper and the block solve:
+    div = alpha + shift (shift = sigma*c*beta) is NaN, or |div| < 1e-14 *
+    max(|alpha|, |shift|, 1e-300), i.e. it cancels to round-off of its
+    terms.  Floats or arrays."""
+    floor = 1e-14 * np.maximum(np.maximum(abs(alpha), abs(shift)), 1e-300)
+    return ~(abs(div) >= floor)  # NaN fails the comparison
+
+
 def block_rows(alpha, alpha_f) -> np.ndarray:
     """The block table: rows (alpha_j, beta_j, gamma_j, c_j) of every
     block, shape alpha's (..., k) + (4,), from alpha (..., k) and alpha_f
@@ -154,16 +164,17 @@ def from_alphas(
     k: int, alpha: Sequence[float], alpha_f: float
 ) -> SchemeParameters:
     """Build parameters from raw alpha values, with beta, gamma and c
-    from ``block_rows``; raises OverflowError where a beta is not finite.
-    ``derive`` completes its alphas here, and then the result carries no
-    dissipation spec."""
+    from ``block_rows``.  A non-finite alpha or alpha_f raises
+    ValueError naming it, and a finite alpha whose beta overflows raises
+    OverflowError.  ``derive`` completes its alphas here, and then the
+    result carries no dissipation spec."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != k:
         raise ValueError(f"expected {k} alpha values, got {len(alpha)}")
     _, beta, gamma, c = block_rows(alpha, alpha_f).T.tolist()
-    if not all(map(math.isfinite, beta)):
+    if not all(map(math.isfinite, beta)) and all(map(math.isfinite, (*alpha, alpha_f))):
         raise OverflowError(f"beta is not finite at alpha = {alpha}, alpha_f = {alpha_f}")
     return SchemeParameters(
         k=k, alpha=alpha, alpha_f=float(alpha_f), beta=beta, gamma=gamma, c=c, rho=None,

@@ -33,9 +33,10 @@ alpha_j alone and the last block on (alpha_k, alpha_f) alone, so across
 a 2-D grid most points share most of their blocks.  Every (distinct
 block, sigma) pair goes through one block solve -> eigvals -> radius
 pass per slab of at most MAP_SLAB_BLOCKS pairs, and a point's radius is
-the largest of its k blocks' radii.  A block the solve masks (singular,
-or not finite: beta overflows past |alpha| ~ 1e154) gets radius inf, as
-does every point holding it.  ``classify_stability`` is the one-point
+the largest of its k blocks' radii.  A block the solve masks (singular
+by the stepper's divisor rule, ``params._singular_divisor``, or not
+finite: beta overflows past |alpha| ~ 1e154) gets radius inf, as does
+every point holding it.  ``classify_stability`` is the one-point
 case of the same pass, with all k blocks of the scheme in each pair.
 Radii are grid maxima, but "stable" is exact for every sigma > 0: each
 block meets ``params.block_conditions`` and the radius is finite.
@@ -46,6 +47,7 @@ positive log axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +66,13 @@ class Spectrum:
     radius: np.ndarray
 
 
+def _require_finite(obj, *names) -> None:
+    """ValueError naming the first of ``obj``'s fields that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+
+
 # A sweep is solved as one array, so its memory grows with the point
 # count: at ~420 B per 3x3 block, 1e5 sigmas peak near 42 MB per block.
 # A stability map holds its points' block rows whole, so it has the same cap.
@@ -77,6 +86,7 @@ class SweepConfig:
     n_points: int = 60
 
     def grid(self) -> np.ndarray:
+        _require_finite(self, "sigma_min", "sigma_max")
         if not (0.0 < self.sigma_min < self.sigma_max):
             raise ValueError("need 0 < sigma_min < sigma_max")
         if not 2 <= self.n_points <= MAX_SWEEP_POINTS:
@@ -94,6 +104,7 @@ class ParameterAxis:
     n: int
 
     def __post_init__(self):
+        _require_finite(self, "lo", "hi")
         if self.n < 2:
             raise ValueError(f"axis resolution must be >= 2, got {self.n}")
 
@@ -221,7 +232,8 @@ def classify_stability(
 ) -> tuple[bool, float, float]:
     """(stable, max radius, argmax sigma): ``check_stability_conditions``
     passes and the radius is finite; the radius is the sweep grid's
-    maximum, inf at the first sigma where the assembly is singular."""
+    maximum, inf at the first sigma where a block is singular by the
+    stepper's divisor rule or not finite."""
     grid = sweep.grid()
     radius = _radii(np.column_stack((p.alpha, p.beta, p.gamma, p.c)), grid)
     i = int(radius.argmax())
@@ -232,7 +244,8 @@ def classify_stability(
 def check_map_names(k: int, fixed: dict, x_axis: ParameterAxis, y_axis: ParameterAxis) -> None:
     """Reject a map of more than MAX_SWEEP_POINTS points, whose axes
     coincide, whose axis or fixed names are not among "alpha1".."alpha{k}"
-    and "alpha_f", or that leaves one of them neither fixed nor varied."""
+    and "alpha_f", that leaves one of them neither fixed nor varied, or
+    whose fixed values are not finite."""
     if x_axis.n * y_axis.n > MAX_SWEEP_POINTS:
         raise ValueError(f"need at most {MAX_SWEEP_POINTS} map points, got {x_axis.n * y_axis.n}")
     if x_axis.name == y_axis.name:
@@ -241,9 +254,11 @@ def check_map_names(k: int, fixed: dict, x_axis: ParameterAxis, y_axis: Paramete
     for ax in (x_axis, y_axis):
         if ax.name not in names:
             raise ValueError(f"unknown parameter axis {ax.name!r}")
-    for name in fixed:
+    for name, value in fixed.items():
         if name not in names:
             raise ValueError(f"unknown fixed parameter {name!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"fixed {name} must be finite, got {value}")
     for name in names:
         if name not in fixed and name not in (x_axis.name, y_axis.name):
             raise ValueError(f"parameter {name} is neither fixed nor varied")

@@ -64,7 +64,7 @@ from math import factorial
 import numpy as np
 
 from .errors import SingularStepError
-from .params import SchemeParameters, check_stability_conditions
+from .params import SchemeParameters, _singular_divisor, check_stability_conditions
 
 
 class Variant(str, Enum):
@@ -238,8 +238,9 @@ def _plan(p: SchemeParameters, lam, cfg: StepConfig):
     apply to every entry.  Rejects a negative lambda, warns once if the
     parameters violate the unconditional-stability conditions, raises
     OverflowError naming lambda and tau where a coefficient is not
-    finite, and SingularStepError on a vanishing block divisor, naming
-    the lambda it occurs at.
+    finite, and SingularStepError where a block divisor is singular by
+    ``params._singular_divisor`` (the rule the block solve of the
+    spectral analysis applies too), naming the lambda it occurs at.
     """
     tau = cfg.tau
     if np.ndim(lam) == 0:
@@ -274,8 +275,7 @@ def _plan(p: SchemeParameters, lam, cfg: StepConfig):
             raise overflow(f"block {j + 1} divisor alpha + lambda*tau^2*c*beta", int(bad.argmax()))
         if not (math.isfinite(bt2) and math.isfinite(gt)):
             raise overflow(f"block {j + 1} coefficient beta*tau^2 or gamma*tau")
-        floor = 1e-14 * np.maximum(np.maximum(abs(alpha), abs(shift)), 1e-300)
-        singular = np.ravel(abs(div) < floor)
+        singular = np.ravel(_singular_divisor(div, alpha, shift))
         if singular.any():
             i = int(singular.argmax())
             raise SingularStepError(

@@ -22,9 +22,9 @@ from galpha import (
     spectral_radius,
     unscale_state,
 )
-from galpha.amplification import _block_pair, _block_poly
-from galpha.params import block_conditions
-from galpha.spectral import eigvals
+from galpha.amplification import _block_pair, _block_poly, _block_solve
+from galpha.params import _singular_divisor, block_conditions, block_rows
+from galpha.spectral import _radii, eigvals
 from galpha.stepper import _plan
 
 
@@ -223,6 +223,89 @@ def test_non_finite_sigma_is_rejected(call, sigma):
     # "Array must not contain infs or NaNs"
     with pytest.raises(ValueError, match=f"sigma must be finite and >= 0, got {sigma}"):
         call(K2, sigma)
+
+
+class TestSingularRule:
+    """One divisor rule, ``params._singular_divisor``, decides a singular
+    block for the stepper and for the block solve alike."""
+
+    def test_near_singular_block_is_refused_by_every_layer(self):
+        # alpha_m = -1, beta = 1/16, alpha_f = 1/2: the divisor -1 + sigma/32
+        # is 2.2e-16 one ulp above sigma = 32, round-off of its terms; once
+        # the solve divided by it and eigvals reported 2.25e16
+        p = from_alphas(1, (-1.0,), 0.5)
+        sigma = np.nextafter(32.0, np.inf)
+        message = "divisor .* = 2.220446049250313e-16 at sigma = 32.00000000000001"
+        with pytest.raises(SingularStepError, match=message):
+            eigvals(p, sigma)
+        with pytest.raises(SingularStepError, match=message):
+            diagonal_blocks(p, [1.0, sigma])
+        radius = _radii(np.column_stack((p.alpha, p.beta, p.gamma, p.c)), np.array([1.0, sigma]))
+        assert np.isfinite(radius[0]) and radius[1] == np.inf
+        with pytest.warns(UserWarning, match="alpha_f <= alpha_1"):  # alpha_m = -1 < alpha_f
+            with pytest.raises(SingularStepError, match="at lambda = 32.00000000000001"):
+                _plan(p, sigma, StepConfig(tau=1.0))
+
+    def test_a_pivot_that_underflows_is_masked_not_raised(self):
+        # alpha_m = 1e-300, alpha_f = 1: beta = 0, so the divisor is alpha_m
+        # and the rule passes it; at sigma = 1e25 the LU swaps rows and its
+        # pivot -1e-300/1e25 underflows to zero, while G's entry -sigma/1e-300
+        # overflows
+        rows = block_rows([1e-300], 1.0)
+        assert rows[0, 1] == 0.0 and not _singular_divisor(1e-300, 1e-300, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(*_block_pair(*rows[0], 1e25))
+        G, bad = _block_solve(rows, np.array(1e25))
+        assert bad.tolist() == [True] and not G.any()
+
+    @staticmethod
+    def _extreme(rng, shape):
+        """Floats of every scale: signed zeros, small values of either
+        sign, and +-10^U(-300, 300)."""
+        x = np.where(rng.random(shape) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-300, 300, shape)
+        kind = rng.integers(0, 4, shape)
+        x[kind == 0] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[kind == 0]
+        x[kind == 1] = rng.uniform(-3.0, 3.0, shape)[kind == 1]
+        return x
+
+    def test_block_solve_masks_the_rule_or_a_non_finite_g(self):
+        rng = np.random.default_rng(23)
+        n, k = 1500, 2
+        alpha, alpha_f = self._extreme(rng, (n, k)), self._extreme(rng, n)
+        tied = rng.random(n) < 0.2  # gamma_k near -1/2: beta_k is 0 or tiny
+        alpha_f[tied] = 1.0 + alpha[tied, -1]
+        rows = block_rows(alpha, alpha_f)
+        sigma = 10.0 ** rng.uniform(-300, 300, n)
+        sigma[rng.random(n) < 0.1] = 0.0
+        # a quarter of the schemes sit within 50 ulps of a root of the last divisor
+        a, b, _, c = rows[:, -1].T
+        with np.errstate(all="ignore"):
+            root = -a / (c * b) * (1.0 + np.finfo(float).eps * rng.integers(-50, 51, n))
+        near = (rng.random(n) < 0.25) & (root >= 0.0) & (root < np.inf)
+        sigma[near] = root[near]
+        G, bad = _block_solve(rows, sigma)
+        seen = {"rule": 0, "overflow": 0, "raise": 0, "solved": 0}
+        for i, j in np.ndindex(n, k):
+            with np.errstate(all="ignore"):
+                A, B = _block_pair(*rows[i, j], sigma[i])
+                shift = A[2, 0] * rows[i, j, 1]
+                singular = _singular_divisor(A[2, 2] + shift, A[2, 2], shift)
+                overflow = not np.isfinite(A[2, 0] / (A[2, 2] + shift))  # G's entry -sigma*c/div
+                try:
+                    want = np.linalg.solve(A, B)
+                except np.linalg.LinAlgError:
+                    want = np.full((3, 3), np.nan)
+                    seen["raise"] += 1
+            seen["rule"] += bool(singular) and np.isfinite(want).all()
+            seen["overflow"] += overflow and not singular
+            if singular or overflow or not np.isfinite(want).all():
+                assert bad[i, j] and not G[i, j].any(), (rows[i, j], sigma[i])
+            else:
+                assert not bad[i, j] and np.array_equal(G[i, j], want), (rows[i, j], sigma[i])
+                seen["solved"] += 1
+        # every case occurs: near-singular blocks LAPACK would solve, entries
+        # that overflow, plain solves that raise, and blocks solved as usual
+        assert min(seen.values()) > 0, seen
 
 
 def _exact_row(alpha, alpha_f=None):

@@ -150,6 +150,17 @@ def test_non_finite_coefficients_are_rejected(field, value):
         replace(p, **{field: value})
 
 
+@pytest.mark.parametrize("k, alpha, alpha_f, field", [
+    (2, (1.5, 1.2), math.nan, "alpha_f"),
+    (2, (math.nan, 1.2), 0.7, "alpha"),
+    (1, (math.inf,), 0.7, "alpha"),
+    (2, (math.nan, 1.2), math.inf, "alpha_f"),
+])
+def test_non_finite_alphas_are_named_not_reported_as_overflow(k, alpha, alpha_f, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        from_alphas(k, alpha, alpha_f)
+
+
 def test_json_serialization_round_trip():
     p = derive(DissipationSpec(2, (0.5, 0.5)))
     data = json.loads(json.dumps(p.to_json_dict()))

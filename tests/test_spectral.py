@@ -199,6 +199,21 @@ class TestStabilityMap:
         with pytest.raises(ValueError, match="map points"):
             stability_map(1, {}, *huge)
 
+    @pytest.mark.parametrize("field, build", [
+        ("lo", lambda: ParameterAxis("alpha1", np.nan, 2.0, 5)),
+        ("hi", lambda: ParameterAxis("alpha1", 1.0, np.inf, 5)),
+        ("fixed alpha_f", lambda: stability_map(
+            2, {"alpha_f": np.nan}, ParameterAxis("alpha1", 1.0, 2.0, 3),
+            ParameterAxis("alpha2", 1.0, 2.0, 3), SweepConfig(n_points=5))),
+        ("sigma_min", lambda: SweepConfig(np.nan, 1e3, 5).grid()),
+        ("sigma_max", lambda: SweepConfig(1e-3, np.inf, 5).grid()),
+    ])
+    def test_non_finite_inputs_are_rejected_by_name(self, field, build):
+        # once an inf bound gave nan/inf points or sigmas, and a NaN fixed
+        # value a map of radius inf everywhere, without an error
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            build()
+
     def test_points_equal_one_point_classify(self):
         x_axis, y_axis = ParameterAxis("alpha_f", 0.0, 2.0, 6), ParameterAxis("alpha1", 0.0, 2.0, 5)
         sweep = SweepConfig(n_points=9)
