@@ -6,6 +6,7 @@ properties at desk scale."""
 from .params import (
     DissipationSpec,
     SchemeParameters,
+    SingularStepError,
     StabilityReport,
     check_stability_conditions,
     derive,
@@ -57,6 +58,5 @@ from .modal import (
     jacobi_eig,
     load_system,
 )
-from .errors import SingularStepError
 
 __version__ = "0.1.0"

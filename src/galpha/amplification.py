@@ -11,8 +11,7 @@ the ones consistent with the scheme and with the order-4 convergence
 test.
 
 ``_block_solve`` is the one solve of G's diagonal blocks A_jj^-1 B_jj,
-for ``diagonal_blocks``, the spectral module and the error of a failed
-dense solve alike.
+for ``diagonal_blocks`` and the spectral module alike.
 
 This module is also the independent oracle for the stepper: one
 production step must equal oracle_step on the scaled state.
@@ -25,8 +24,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import SingularStepError
-from .params import SchemeParameters, _singular_divisor
+from .params import SchemeParameters, _refusal, _refused
 from .stepper import ModalState, Variant
 
 
@@ -126,13 +124,17 @@ def assemble_step_matrices(
 
 
 def _solve(p: SchemeParameters, sigma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^-1 B by dense LU with partial pivoting; a singular A raises
-    SingularStepError, naming its singular block by ``diagonal_blocks``."""
-    try:
-        return np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        diagonal_blocks(p, sigma)
-        raise SingularStepError(f"step matrix A is singular at sigma = {sigma}")
+    """A^-1 B by dense LU with partial pivoting, after ``params._refused``:
+    a refused block raises SingularStepError naming the first one, and a
+    result that is not finite OverflowError naming sigma."""
+    div, refused = _refused(*np.array((p.alpha, p.beta, p.c)), sigma)
+    j = int(refused.argmax())  # the first refused block, if any
+    if refused[j]:
+        raise _refusal(j, float(div[j]), f"sigma = {float(sigma)}")
+    x = np.linalg.solve(A, B)
+    if not np.isfinite(x).all():
+        raise OverflowError(f"the dense solve is not finite at sigma = {float(sigma)}")
+    return x
 
 
 def amplification_matrix(
@@ -172,17 +174,12 @@ def unscale_state(v, tau: float, k: int) -> ModalState:
 def _block_solve(rows, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one block solve: blocks A_jj^-1 B_jj (..., k, 3, 3) for block
     rows (..., k, 4) as ``params.block_rows`` lays them out, at sigma
-    (...), and the (..., k) mask of blocks that come back as zeros: their
-    divisor alpha + sigma*c*beta is singular by the stepper's rule,
-    ``params._singular_divisor``, or G is not finite.  G's entry
-    -sigma*c/div is checked before the solve, as where it overflows the
-    LU pivot -div/(sigma*c) can underflow to zero; every other pivot is
-    the divisor, or that, to round-off, so the solve meets no zero one."""
+    (...), and the (..., k) mask of blocks that come back as zeros: those
+    ``params._refused`` refuses before the solve, which then meets no
+    zero pivot, and those whose G is not finite."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # extreme schemes, masked
         A, B = _block_pair(*np.moveaxis(rows, -1, 0), sigma[..., None])
-        shift = A[..., 2, 0] * rows[..., 1]
-        div = A[..., 2, 2] + shift
-        bad = _singular_divisor(div, A[..., 2, 2], shift) | ~np.isfinite(A[..., 2, 0] / div)
+        _, bad = _refused(rows[..., 0], rows[..., 1], rows[..., 3], sigma[..., None])
         A[bad], B[bad] = np.eye(3), 0.0
         G = np.linalg.solve(A, B)
     bad |= ~np.isfinite(G).all(axis=(-2, -1))
@@ -193,13 +190,12 @@ def _block_solve(rows, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def diagonal_blocks(p: SchemeParameters, sigma) -> np.ndarray:
     """The k diagonal 3x3 blocks A_jj^-1 B_jj of G at every sigma, shape
     sigma.shape + (k, 3, 3); their spectra union to the spectrum of G.
-    A singular or non-finite block raises SingularStepError naming the
+    A refused or non-finite block raises SingularStepError naming the
     first one, at the first such sigma in C order."""
     sigma = np.asarray(sigma, dtype=float)
     G, bad = _block_solve(np.column_stack((p.alpha, p.beta, p.gamma, p.c)), sigma)
     if bad.any():
         at, j = divmod(int(bad.argmax()), p.k)
         s = float(sigma.flat[at])
-        raise SingularStepError(f"block {j + 1} divisor alpha_{j + 1} + sigma*c*beta_{j + 1} = "
-                                f"{p.alpha[j] + s * p.c[j] * p.beta[j]} at sigma = {s}")
+        raise _refusal(j, _refused(p.alpha[j], p.beta[j], p.c[j], s)[0], f"sigma = {s}")
     return G

@@ -64,6 +64,8 @@ def _parse_fix(items) -> dict:
             if "=" not in piece:
                 raise ValueError(f"--fix expects NAME=VALUE, got {piece!r}")
             name, val = piece.split("=", 1)
+            if name in fixed:
+                raise ValueError(f"--fix gives {name!r} twice")
             try:
                 fixed[name] = _finite(val)
             except argparse.ArgumentTypeError as exc:

@@ -130,13 +130,31 @@ def check_stability_conditions(p: SchemeParameters) -> StabilityReport:
     return StabilityReport(tuple(violations))
 
 
-def _singular_divisor(div, alpha, shift):
-    """The one singular-divisor rule, for the stepper and the block solve:
-    div = alpha + shift (shift = sigma*c*beta) is NaN, or |div| < 1e-14 *
-    max(|alpha|, |shift|, 1e-300), i.e. it cancels to round-off of its
-    terms.  Floats or arrays."""
-    floor = 1e-14 * np.maximum(np.maximum(abs(alpha), abs(shift)), 1e-300)
-    return ~(abs(div) >= floor)  # NaN fails the comparison
+class SingularStepError(ArithmeticError):
+    """A block that ``_refused`` refuses, in the stepper, the block solve
+    or the dense oracle; ``_refusal`` writes the message."""
+
+
+def _refused(alpha, beta, c, sigma):
+    """The one rule for refusing a block, in the stepper, the block solve
+    and the dense oracle: (div, refused) for the divisor div = alpha +
+    shift, shift = sigma*c*beta (det A_jj), refused where div is NaN or
+    |div| < 1e-14 * max(|alpha|, |shift|, 1e-300) (it cancels to
+    round-off of its terms), or G's entry -sigma*c/div is not finite
+    (there the LU pivot -div/(sigma*c) can underflow to zero; every other
+    pivot is div to round-off).  Floats (then div is a float) or arrays."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sc = sigma * c
+        shift = sc * beta
+        div = alpha + shift
+        floor = 1e-14 * np.maximum(np.maximum(abs(alpha), abs(shift)), 1e-300)
+        refused = ~((abs(div) >= floor) & np.isfinite(np.divide(sc, div)))  # NaN fails >=
+    return div, refused
+
+
+def _refusal(j: int, div: float, at: str) -> SingularStepError:
+    """The one message: block j (from 0), its divisor, and ``at`` where."""
+    return SingularStepError(f"block {j + 1} divisor alpha_{j + 1} + sigma*c*beta_{j + 1} = {div} at {at}")
 
 
 def block_rows(alpha, alpha_f) -> np.ndarray:

@@ -33,11 +33,13 @@ alpha_j alone and the last block on (alpha_k, alpha_f) alone, so across
 a 2-D grid most points share most of their blocks.  Every (distinct
 block, sigma) pair goes through one block solve -> eigvals -> radius
 pass per slab of at most MAP_SLAB_BLOCKS pairs, and a point's radius is
-the largest of its k blocks' radii.  A block the solve masks (singular
-by the stepper's divisor rule, ``params._singular_divisor``, or not
-finite: beta overflows past |alpha| ~ 1e154) gets radius inf, as does
-every point holding it.  ``classify_stability`` is the one-point
-case of the same pass, with all k blocks of the scheme in each pair.
+the largest of its k blocks' radii.  A block the solve masks gets radius
+inf, as does every point holding it: one that ``params._refused``, the
+rule of the stepper and the dense oracle too, refuses (its divisor is at
+round-off of zero or -sigma*c/div overflows), or one whose G is not
+finite (beta overflows past |alpha| ~ 1e154).  ``classify_stability`` is
+the one-point case of the same pass, with all k blocks of the scheme in
+each pair.
 Radii are grid maxima, but "stable" is exact for every sigma > 0: each
 block meets ``params.block_conditions`` and the radius is finite.
 
@@ -232,8 +234,8 @@ def classify_stability(
 ) -> tuple[bool, float, float]:
     """(stable, max radius, argmax sigma): ``check_stability_conditions``
     passes and the radius is finite; the radius is the sweep grid's
-    maximum, inf at the first sigma where a block is singular by the
-    stepper's divisor rule or not finite."""
+    maximum, inf at the first sigma where ``params._refused`` refuses a
+    block or a block is not finite."""
     grid = sweep.grid()
     radius = _radii(np.column_stack((p.alpha, p.beta, p.gamma, p.c)), grid)
     i = int(radius.argmax())
@@ -244,8 +246,8 @@ def classify_stability(
 def check_map_names(k: int, fixed: dict, x_axis: ParameterAxis, y_axis: ParameterAxis) -> None:
     """Reject a map of more than MAX_SWEEP_POINTS points, whose axes
     coincide, whose axis or fixed names are not among "alpha1".."alpha{k}"
-    and "alpha_f", that leaves one of them neither fixed nor varied, or
-    whose fixed values are not finite."""
+    and "alpha_f", that leaves one of them neither fixed nor varied or
+    both, or whose fixed values are not finite."""
     if x_axis.n * y_axis.n > MAX_SWEEP_POINTS:
         raise ValueError(f"need at most {MAX_SWEEP_POINTS} map points, got {x_axis.n * y_axis.n}")
     if x_axis.name == y_axis.name:
@@ -257,6 +259,8 @@ def check_map_names(k: int, fixed: dict, x_axis: ParameterAxis, y_axis: Paramete
     for name, value in fixed.items():
         if name not in names:
             raise ValueError(f"unknown fixed parameter {name!r}")
+        if name in (x_axis.name, y_axis.name):
+            raise ValueError(f"parameter {name} is both fixed and varied")
         if not math.isfinite(value):
             raise ValueError(f"fixed {name} must be finite, got {value}")
     for name in names:

@@ -63,8 +63,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import SingularStepError
-from .params import SchemeParameters, _singular_divisor, check_stability_conditions
+from .params import SchemeParameters, _refusal, _refused, check_stability_conditions
 
 
 class Variant(str, Enum):
@@ -238,9 +237,8 @@ def _plan(p: SchemeParameters, lam, cfg: StepConfig):
     apply to every entry.  Rejects a negative lambda, warns once if the
     parameters violate the unconditional-stability conditions, raises
     OverflowError naming lambda and tau where a coefficient is not
-    finite, and SingularStepError where a block divisor is singular by
-    ``params._singular_divisor`` (the rule the block solve of the
-    spectral analysis applies too), naming the lambda it occurs at.
+    finite (the divisor first), and SingularStepError where
+    ``params._refused`` refuses a block at sigma = lambda*tau^2.
     """
     tau = cfg.tau
     if np.ndim(lam) == 0:
@@ -264,26 +262,20 @@ def _plan(p: SchemeParameters, lam, cfg: StepConfig):
         env = {"nlam": -lam, **{f"t{m}": tau**m / factorial(m) for m in range(1, 3 * k)}}
     except OverflowError:
         raise overflow("a power of tau") from None
+    with np.errstate(over="ignore"):
+        sigma = lam * tau * tau
     for j in range(k):
-        alpha, c = p.alpha[j], p.c[j]
-        with np.errstate(over="ignore", invalid="ignore"):
-            shift = lam * tau * tau * c * p.beta[j]
-        div = alpha + shift
+        div, refused = _refused(p.alpha[j], p.beta[j], p.c[j], sigma)
         bt2, gt = p.beta[j] * tau * tau, p.gamma[j] * tau
         bad = np.ravel(~np.isfinite(div))
         if bad.any():
             raise overflow(f"block {j + 1} divisor alpha + lambda*tau^2*c*beta", int(bad.argmax()))
         if not (math.isfinite(bt2) and math.isfinite(gt)):
             raise overflow(f"block {j + 1} coefficient beta*tau^2 or gamma*tau")
-        singular = np.ravel(_singular_divisor(div, alpha, shift))
-        if singular.any():
-            i = int(singular.argmax())
-            raise SingularStepError(
-                f"scalar divisor alpha + lambda*tau^2*c*beta = {float(np.ravel(div)[i])} "
-                f"at lambda = {float(lams[i])} "
-                f"(alpha = {alpha}, shift = {float(np.ravel(shift)[i])})"
-            )
-        env.update({f"c{j}": c, f"q{j}": div, f"bt{j}": bt2, f"gt{j}": gt})
+        if refused.any():
+            i = int(np.argmax(refused))
+            raise _refusal(j, float(np.ravel(div)[i]), f"lambda = {float(lams[i])!r}, tau = {tau!r}")
+        env.update({f"c{j}": p.c[j], f"q{j}": div, f"bt{j}": bt2, f"gt{j}": gt})
     # advance(d): the derivatives at step n+1, as a tuple, from those at
     # step n (floats, or arrays over modes for an array plan)
     return types.FunctionType(_advance_code(k, cfg.variant), env)

@@ -1,3 +1,5 @@
+import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +25,7 @@ from galpha import (
     unscale_state,
 )
 from galpha.amplification import _block_pair, _block_poly, _block_solve
-from galpha.params import _singular_divisor, block_conditions, block_rows
+from galpha.params import _refused, block_conditions, block_rows
 from galpha.spectral import _radii, eigvals
 from galpha.stepper import _plan
 
@@ -158,6 +160,16 @@ class TestAmplification:
         with pytest.raises(SingularStepError, match=r"block 2 divisor .* = 1e-300 at sigma = 0.0"):
             diagonal_blocks(p, [0.0, 2.0])
 
+    def test_a_dense_result_that_is_not_finite_is_reported(self):
+        # the scheme above: the rule passes its divisors at sigma = 0, and the
+        # dense solve overflows where the block solve does; once G held inf
+        # and NaN and the step returned [nan, nan, nan, nan, -inf, -1e300]
+        p = from_alphas(2, (1.5, 1e-300), -1e150)
+        with pytest.raises(OverflowError, match="not finite at sigma = 0.0"):
+            amplification_matrix(p, 0.0)
+        with pytest.raises(OverflowError, match="not finite at sigma = 0.0"):
+            oracle_step(p, 0.0, [1.0] * 6)
+
     def test_diagonal_blocks_cover_full_spectrum(self):
         p = derive(DissipationSpec(3, (0.3, 0.6, 0.9)))
         union = np.linalg.eigvals(diagonal_blocks(p, 4.2)).ravel()
@@ -226,8 +238,8 @@ def test_non_finite_sigma_is_rejected(call, sigma):
 
 
 class TestSingularRule:
-    """One divisor rule, ``params._singular_divisor``, decides a singular
-    block for the stepper and for the block solve alike."""
+    """One rule, ``params._refused``, decides a refused block for the
+    stepper, the block solve and the dense oracle alike."""
 
     def test_near_singular_block_is_refused_by_every_layer(self):
         # alpha_m = -1, beta = 1/16, alpha_f = 1/2: the divisor -1 + sigma/32
@@ -240,6 +252,11 @@ class TestSingularRule:
             eigvals(p, sigma)
         with pytest.raises(SingularStepError, match=message):
             diagonal_blocks(p, [1.0, sigma])
+        # once the dense oracle returned G with entries of 1.44e17 here
+        with pytest.raises(SingularStepError, match=message):
+            amplification_matrix(p, sigma)
+        with pytest.raises(SingularStepError, match=message):
+            oracle_step(p, sigma, [1.0, 0.0, 0.0])
         radius = _radii(np.column_stack((p.alpha, p.beta, p.gamma, p.c)), np.array([1.0, sigma]))
         assert np.isfinite(radius[0]) and radius[1] == np.inf
         with pytest.warns(UserWarning, match="alpha_f <= alpha_1"):  # alpha_m = -1 < alpha_f
@@ -248,11 +265,12 @@ class TestSingularRule:
 
     def test_a_pivot_that_underflows_is_masked_not_raised(self):
         # alpha_m = 1e-300, alpha_f = 1: beta = 0, so the divisor is alpha_m
-        # and the rule passes it; at sigma = 1e25 the LU swaps rows and its
+        # and the floor passes it; at sigma = 1e25 the LU swaps rows and its
         # pivot -1e-300/1e25 underflows to zero, while G's entry -sigma/1e-300
-        # overflows
+        # overflows, which the rule's other half refuses
         rows = block_rows([1e-300], 1.0)
-        assert rows[0, 1] == 0.0 and not _singular_divisor(1e-300, 1e-300, 0.0)
+        assert rows[0, 1] == 0.0 and not _refused(1e-300, 0.0, 1.0, 1.0)[1]
+        assert _refused(1e-300, 0.0, 1.0, 1e25) == (1e-300, True)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(*_block_pair(*rows[0], 1e25))
         G, bad = _block_solve(rows, np.array(1e25))
@@ -267,6 +285,57 @@ class TestSingularRule:
         x[kind == 0] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[kind == 0]
         x[kind == 1] = rng.uniform(-3.0, 3.0, shape)[kind == 1]
         return x
+
+    LAYERS = {
+        "blocks": diagonal_blocks,
+        "dense": amplification_matrix,
+        "step": lambda p, s: oracle_step(p, s, np.ones(3 * p.k)),
+        "plan": lambda p, s: _plan(p, s, StepConfig(tau=1.0)),
+    }
+
+    def test_every_layer_refuses_where_the_rule_does(self):
+        # Where the rule refuses a block of a scheme at sigma, the block
+        # solve, the dense oracle and the plan (at lambda = sigma, tau = 1)
+        # raise SingularStepError, or the plan its non-finite-divisor
+        # OverflowError; elsewhere only the block solve may, for a block
+        # that is not finite, and the oracle then raises OverflowError.
+        rng = np.random.default_rng(24)
+        seen = Counter()
+        for k in (1, 2, 3):
+            n = 2000  # ~1450 schemes per k whose beta stays finite
+            alpha, alpha_f = self._extreme(rng, (n, k)), self._extreme(rng, n)
+            tied = rng.random(n) < 0.2
+            alpha_f[tied] = 1.0 + alpha[tied, -1]
+            with np.errstate(over="ignore"):
+                rows = block_rows(alpha, alpha_f)
+            sigma = 10.0 ** rng.uniform(-300, 300, n)
+            sigma[rng.random(n) < 0.1] = 0.0
+            # a quarter of the pairs sit within 50 ulps of a root of one divisor
+            a, b, _, c = rows[np.arange(n), rng.integers(0, k, n)].T
+            with np.errstate(all="ignore"):
+                root = -a / (c * b) * (1.0 + np.finfo(float).eps * rng.integers(-50, 51, n))
+            near = (rng.random(n) < 0.25) & (root >= 0.0) & (root < np.inf)
+            sigma[near] = root[near]
+            for i in range(n):
+                if not np.isfinite(rows[i]).all():
+                    continue  # beta overflows: from_alphas refuses the scheme
+                p, s = from_alphas(k, alpha[i], alpha_f[i]), float(sigma[i])
+                refused = _refused(rows[i, :, 0], rows[i, :, 1], rows[i, :, 3], s)[1].any()
+                got = {name: _raised(call, p, s) for name, call in self.LAYERS.items()}
+                if refused:
+                    assert got["blocks"] == got["dense"] == got["step"] == "SingularStepError", got
+                    assert got["plan"] in ("SingularStepError", "OverflowError: divisor"), got
+                else:
+                    assert got["plan"] in (None, "OverflowError: divisor"), got
+                    assert got["blocks"] in (None, "SingularStepError"), got
+                    want = None if got["blocks"] is None else "OverflowError"
+                    assert got["dense"] == got["step"] == want, got
+                seen[refused, got["blocks"], got["dense"], got["plan"]] += 1
+        # refused pairs and clean solves both occur, and so do blocks the
+        # rule passes whose G is not finite
+        assert seen[True, "SingularStepError", "SingularStepError", "SingularStepError"] > 0, seen
+        assert seen[False, None, None, None] > 0, seen
+        assert seen[False, "SingularStepError", "OverflowError", None] > 0, seen
 
     def test_block_solve_masks_the_rule_or_a_non_finite_g(self):
         rng = np.random.default_rng(23)
@@ -289,14 +358,16 @@ class TestSingularRule:
             with np.errstate(all="ignore"):
                 A, B = _block_pair(*rows[i, j], sigma[i])
                 shift = A[2, 0] * rows[i, j, 1]
-                singular = _singular_divisor(A[2, 2] + shift, A[2, 2], shift)
-                overflow = not np.isfinite(A[2, 0] / (A[2, 2] + shift))  # G's entry -sigma*c/div
+                div = A[2, 2] + shift
+                singular = not abs(div) >= 1e-14 * max(abs(A[2, 2]), abs(shift), 1e-300)
+                overflow = not np.isfinite(A[2, 0] / div)  # G's entry -sigma*c/div
+                assert _refused(*rows[i, j, [0, 1, 3]], sigma[i])[1] == (singular or overflow)
                 try:
                     want = np.linalg.solve(A, B)
                 except np.linalg.LinAlgError:
                     want = np.full((3, 3), np.nan)
                     seen["raise"] += 1
-            seen["rule"] += bool(singular) and np.isfinite(want).all()
+            seen["rule"] += singular and np.isfinite(want).all()
             seen["overflow"] += overflow and not singular
             if singular or overflow or not np.isfinite(want).all():
                 assert bad[i, j] and not G[i, j].any(), (rows[i, j], sigma[i])
@@ -306,6 +377,22 @@ class TestSingularRule:
         # every case occurs: near-singular blocks LAPACK would solve, entries
         # that overflow, plain solves that raise, and blocks solved as usual
         assert min(seen.values()) > 0, seen
+
+
+def _raised(call, p, sigma):
+    """None if ``call(p, sigma)`` returns, else the name of what it
+    raised: SingularStepError, OverflowError, or "OverflowError: divisor"
+    for a divisor the stepper finds not finite.  Anything else escapes."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the stability conditions
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's, as the dense A overflows
+            call(p, sigma)
+    except SingularStepError:
+        return "SingularStepError"
+    except OverflowError as exc:
+        return "OverflowError: divisor" if "divisor" in str(exc) else "OverflowError"
+    return None
 
 
 def _exact_row(alpha, alpha_f=None):

@@ -154,7 +154,7 @@ class TestStabilityMap:
         # run() keeps one parser per process; no flag value may carry
         # over into the next call's artifacts, names or summary.
         runs = [
-            ["stability-map", "--k", "3", "--fix", "alpha1=1.5", "--fix", "alpha3=1.2,alpha_f=0.7",
+            ["stability-map", "--k", "3", "--fix", "alpha3=1.2", "--fix", "alpha_f=0.7",
              "--vary", "alpha2:0.5:2.0:3", "--vary", "alpha1:1.0:2.0:2", "--sigma-points", "5"],
             ["params", "--k", "1", "--rho", "0.5"],
             ["stability-map", "--k", "1", "--vary", "alpha1:0.5:2.0:3",
@@ -281,6 +281,19 @@ class TestFlagValidation:
         )
         assert code == 2
         assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--k", "1", "--fix", "alpha1=2,alpha_f=0.5", "--vary", "alpha1:0:2:3",
+          "--vary", "alpha_f:0:1:3"), "alpha1 is both fixed and varied"),
+        (("--k", "2", "--fix", "alpha1=2", "--fix", "alpha1=1.5", "--vary", "alpha_f:0:1:3",
+          "--vary", "alpha2:0:2:3"), "--fix gives 'alpha1' twice"),
+    ])
+    def test_conflicting_map_values_exit_2(self, tmp_path, capsys, flags, message):
+        # once exit 0, with one of the two values silently dropped
+        code, out, err = run_cli(capsys, "stability-map", *flags, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert message in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("T, steps", [("1", "8,4,16"), ("-1", "8,16,32"), ("1", "0,1,2")])

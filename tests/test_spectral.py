@@ -199,6 +199,12 @@ class TestStabilityMap:
         with pytest.raises(ValueError, match="map points"):
             stability_map(1, {}, *huge)
 
+    def test_a_parameter_fixed_and_varied_is_rejected(self):
+        # once the axis silently replaced the fixed value
+        axes = ParameterAxis("alpha1", 0.0, 2.0, 3), ParameterAxis("alpha_f", 0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="alpha1 is both fixed and varied"):
+            stability_map(1, {"alpha1": 2.0, "alpha_f": 0.5}, *axes)
+
     @pytest.mark.parametrize("field, build", [
         ("lo", lambda: ParameterAxis("alpha1", np.nan, 2.0, 5)),
         ("hi", lambda: ParameterAxis("alpha1", 1.0, np.inf, 5)),
